@@ -27,16 +27,15 @@
 // Supervised-sweep flags (benches that opt in, e.g. micro_sweep; see
 // docs/SUPERVISOR.md):
 //   --supervised     run the grid under the process-level supervisor
-//                    (forked workers, journaled resume, poison-spec
-//                    quarantine)
-//   --journal DIR    journal directory for --supervised (resume = rerun
-//                    with the same flags and the same DIR)
+//                    (forked workers, results stored as they land,
+//                    poison-spec quarantine; the bench's --cache-dir names
+//                    the store, and resume = rerun with the same flags)
 //   --crash-at SPEC  deterministic worker self-kill directive
 //                    <spec-index>:<abort|kill|hang|exit>[:times]
 //   --attempts K     worker launches before a spec is quarantined
 //   --spec-timeout S per-spec wall-clock budget in seconds (SIGKILL on
 //                    overrun)
-//   --sweep-timeout S whole-run wall-clock budget in seconds (the journal
+//   --sweep-timeout S whole-run wall-clock budget in seconds (the store
 //                    survives; resume continues)
 
 #include <cinttypes>
@@ -78,7 +77,6 @@ struct BenchArgs {
   // Supervised-sweep flags (docs/SUPERVISOR.md); only parsed for benches
   // that pass has_supervise.
   bool supervised = false;
-  std::string journal_dir;     // empty = the bench's default journal dir
   std::string crash_at;        // <spec>:<mode>[:times]; empty = no hook
   int attempts = 3;            // K: worker launches before quarantine
   double spec_timeout_s = 0;   // 0 = the supervisor's default budget
@@ -96,7 +94,7 @@ inline uint64_t seed_base(const BenchArgs& args, uint64_t fallback) {
                "usage: %s [N | --runs N] [--seeds B (nonzero)] "
                "[--workers N] [--shard i/N] [--policy NAME] "
                "[--cache-dir DIR] [--json-out FILE] [--supervised] "
-               "[--journal DIR] [--crash-at I:MODE[:TIMES]] "
+               "[--crash-at I:MODE[:TIMES]] "
                "[--attempts K] [--spec-timeout S] [--sweep-timeout S]\n",
                prog);
   std::exit(2);
@@ -265,9 +263,9 @@ inline BenchArgs parse_args(int argc, char** argv, int default_runs,
       args.cache_dir = v;
     } else if (arg == "--json-out") {
       args.json_out = value();
-    } else if (arg == "--supervised" || arg == "--journal" ||
-               arg == "--crash-at" || arg == "--attempts" ||
-               arg == "--spec-timeout" || arg == "--sweep-timeout") {
+    } else if (arg == "--supervised" || arg == "--crash-at" ||
+               arg == "--attempts" || arg == "--spec-timeout" ||
+               arg == "--sweep-timeout") {
       if (!has_supervise) {
         reject(argv[0], arg,
                "not supported — this bench does not run supervised "
@@ -275,10 +273,6 @@ inline BenchArgs parse_args(int argc, char** argv, int default_runs,
       }
       if (arg == "--supervised") {
         args.supervised = true;
-      } else if (arg == "--journal") {
-        const char* v = value();
-        if (*v == '\0') reject(argv[0], arg, "expects a directory path");
-        args.journal_dir = v;
       } else if (arg == "--crash-at") {
         // Validated against the full <spec>:<mode>[:times] grammar by the
         // bench once the grid exists (the spec index is grid-relative).

@@ -26,20 +26,22 @@
 // uncached serial table. CF_BENCH_GATE=1 requires the warm re-run to be
 // >= 20x faster than cold (and keeps the 2x-vs-baseline throughput gate).
 //
-// --shard i/N + --table-out FILE runs only the grid cells shard i owns
-// and writes them as a partial result table; --merge FILE... (repeated,
-// glob patterns accepted; a pattern matching nothing is an error) loads N
-// such tables, reassembles the full result vector, and reports
+// --shard i/N runs only the grid cells shard i owns, storing them in the
+// result cache at --cache-dir (default BENCH_sweep.shard<i>-of-<N>);
+// --merge DIR... (repeated, glob patterns accepted; a pattern matching
+// nothing is an error) looks every grid cell up across those stores,
+// fails naming the spec indices none of them holds, and reports
 // merged_digest — byte-identical to a single-process serial_digest, which
 // CI asserts. Gates are same-host tools, not for shared CI boxes.
 //
 // --supervised runs the grid under the process-level sweep supervisor
-// (docs/SUPERVISOR.md): forked workers, journaled resume, poison-spec
+// (docs/SUPERVISOR.md): forked workers, every accepted result stored in
+// the --cache-dir store (default BENCH_sweep.supervised), poison-spec
 // quarantine. It then re-runs the grid serially in-process as the
 // identity oracle and exits nonzero unless every non-quarantined cell is
 // byte-identical and the quarantine set is exactly what --crash-at
 // predicts (empty without a crash directive). Killing a --supervised run
-// and re-invoking it with the same flags resumes from the journal; the CI
+// and re-invoking it with the same flags resumes from the store; the CI
 // crash-smoke job asserts the resumed digest equals the serial one.
 
 #include <glob.h>
@@ -47,6 +49,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -220,9 +223,9 @@ int fail_usage(const char* prog, const std::string& msg) {
   std::fprintf(stderr, "%s: %s\n", prog, msg.c_str());
   std::fprintf(stderr,
                "usage: %s [--baseline FILE] [--cache-dir DIR] "
-               "[--table-out FILE] [--merge FILE|GLOB]... "
+               "[--merge DIR|GLOB]... "
                "[--faults transient:SEED|persistent|chaos:SEED] "
-               "[--supervised [--journal DIR] [--crash-at I:MODE[:TIMES]] "
+               "[--supervised [--crash-at I:MODE[:TIMES]] "
                "[--attempts K] [--spec-timeout S] [--sweep-timeout S]] "
                "[bench flags]\n",
                prog);
@@ -305,12 +308,13 @@ int run_faults_mode(const sim::MachineConfig& machine,
 /// Supervised mode: the grid under the process-level supervisor, then an
 /// uninterrupted in-process serial run as the identity oracle. Ordered so
 /// that a SIGKILL of this process mid-run (the CI crash-smoke job) lands
-/// while forked workers are running and the journal is growing — the
+/// while forked workers are running and the store is growing — the
 /// resumed invocation re-runs only the unfinished specs and must still
 /// match the serial digest bit for bit.
 int run_supervised_mode(const exp::SweepGrid& grid,
                         const benchharness::BenchArgs& args,
-                        const GridShape& shape, const char* prog) {
+                        const GridShape& shape, const char* prog,
+                        const std::string& cache_dir) {
   exp::SupervisorOptions opt;
   opt.max_workers = args.workers;
   opt.max_attempts = args.attempts;
@@ -328,11 +332,11 @@ int run_supervised_mode(const exp::SweepGrid& grid,
     }
     opt.crash = *crash;
   }
-  const std::string journal_dir =
-      args.journal_dir.empty() ? "BENCH_sweep.journal" : args.journal_dir;
+  const std::string dir =
+      cache_dir.empty() ? "BENCH_sweep.supervised" : cache_dir;
 
   const double t0 = now_s();
-  exp::SweepSupervisor supervisor(grid, journal_dir, opt);
+  exp::SweepSupervisor supervisor(grid, dir, opt);
   exp::SupervisorReport report;
   const std::vector<exp::RunResult> supervised = supervisor.run(&report);
   const double supervised_wall = now_s() - t0;
@@ -341,16 +345,16 @@ int run_supervised_mode(const exp::SweepGrid& grid,
                  report.error.c_str());
     return 2;
   }
-  std::printf("  supervised: %7.3fs wall (%zu resumed from journal, %zu "
+  std::printf("  supervised: %7.3fs wall (%zu resumed from the store, %zu "
               "executed, %zu retries, %zu quarantined)\n",
               supervised_wall, report.resumed, report.executed,
               report.retries, report.quarantined.size());
   if (!report.completed) {
     std::fprintf(stderr,
                  "micro_sweep: supervised sweep incomplete (%zu specs "
-                 "unfinished); rerun with the same --journal %s to "
+                 "unfinished); rerun with the same --cache-dir %s to "
                  "resume\n",
-                 report.unfinished.size(), journal_dir.c_str());
+                 report.unfinished.size(), dir.c_str());
     return 1;
   }
 
@@ -408,7 +412,7 @@ int run_supervised_mode(const exp::SweepGrid& grid,
   json.field("seeds_per_point", args.runs);
   json.field("seed_base", static_cast<int64_t>(shape.seed0));
   json.field("smoke", shape.smoke);
-  json.field("journal", journal_dir);
+  json.field("store", dir);
   json.field("resumed_specs", static_cast<int64_t>(report.resumed));
   json.field("executed_specs", static_cast<int64_t>(report.executed));
   json.field("retries", static_cast<int64_t>(report.retries));
@@ -445,56 +449,79 @@ int run_supervised_mode(const exp::SweepGrid& grid,
   return 0;
 }
 
-/// Shard mode: run only the owned subset, write the partial table, done.
+/// Shard mode: run only the owned subset into a cache store, done.
 /// Deliberately no JSON/baseline machinery — the merged run owns those.
-int run_shard_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& args,
-                   std::string table_out) {
-  if (table_out.empty()) {
-    table_out = "BENCH_sweep.shard" + std::to_string(args.shard_index) +
-                "-of-" + std::to_string(args.shard_count) + ".tbl";
+int run_shard_mode(const exp::SweepGrid& grid,
+                   const benchharness::BenchArgs& args,
+                   std::string cache_dir) {
+  if (cache_dir.empty()) {
+    cache_dir = "BENCH_sweep.shard" + std::to_string(args.shard_index) +
+                "-of-" + std::to_string(args.shard_count);
   }
   std::unique_ptr<runtime::TaskScheduler> scheduler;
   if (args.workers > 1) {
     scheduler = std::make_unique<runtime::TaskScheduler>(args.workers);
   }
   const double t0 = now_s();
-  exp::ShardTable table;
-  table.grid_size = grid.size();
-  table.shard_index = args.shard_index;
-  table.shard_count = args.shard_count;
-  table.rows = exp::run_sweep_shard(grid, args.shard_index, args.shard_count,
-                                    scheduler.get());
+  exp::ResultCache cache(cache_dir);
+  exp::SweepRunStats stats;
+  const auto rows =
+      exp::run_sweep_shard(grid, args.shard_index, args.shard_count,
+                           scheduler.get(), &cache, &stats);
   const double wall = now_s() - t0;
-  if (!exp::save_shard_table(table_out, table)) return 1;
   double virt = 0.0;
-  for (const auto& [idx, r] : table.rows) virt += r.time_s;
-  std::printf("  shard %d/%d: %zu of %zu co-simulations, %7.3fs wall, "
-              "%8.1f virtual s/s -> %s\n",
-              args.shard_index, args.shard_count, table.rows.size(),
-              grid.size(), wall, virt / wall, table_out.c_str());
+  for (const auto& [idx, r] : rows) virt += r.time_s;
+  std::printf("  shard %d/%d: %zu of %zu co-simulations (%zu already "
+              "stored), %7.3fs wall, %8.1f virtual s/s -> %s\n",
+              args.shard_index, args.shard_count, rows.size(), grid.size(),
+              stats.cache_hits, wall, virt / wall, cache_dir.c_str());
+  // A store that could not take the results (logged by the cache) would
+  // only surface later as merge holes; fail the shard here instead.
+  for (const auto& [idx, r] : rows) {
+    if (!cache.contains(exp::digest_spec(grid.specs()[idx]))) {
+      std::fprintf(stderr, "micro_sweep: %s did not persist spec %" PRIu64
+                           "\n",
+                   cache_dir.c_str(), idx);
+      return 1;
+    }
+  }
   return 0;
 }
 
-/// Merge mode: no simulation at all — load the N partial tables,
-/// reassemble the full result vector, and report the digest of the merged
-/// table (byte-identical to a single-process run's serial_digest; CI
-/// asserts exactly that).
-int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& args,
+/// "0-3, 7, 9-10": every index, runs collapsed.
+std::string index_ranges(const std::vector<uint64_t>& sorted) {
+  std::string out;
+  for (size_t i = 0; i < sorted.size();) {
+    size_t j = i;
+    while (j + 1 < sorted.size() && sorted[j + 1] == sorted[j] + 1) ++j;
+    if (!out.empty()) out += ", ";
+    out += std::to_string(sorted[i]);
+    if (j > i) out += "-" + std::to_string(sorted[j]);
+    i = j + 1;
+  }
+  return out;
+}
+
+/// Merge mode: no simulation at all — look every grid cell up across the
+/// given stores and report the digest of the assembled table
+/// (byte-identical to a single-process run's serial_digest; CI asserts
+/// exactly that). Any cell no store holds fails the merge by spec index.
+int run_merge_mode(const exp::SweepGrid& grid,
+                   const benchharness::BenchArgs& args,
                    const GridShape& shape,
                    const std::vector<std::string>& merge_paths,
                    const std::string& json_out) {
   // Every --merge value may be a literal path or a glob pattern. A
   // pattern that matches nothing is an error, not an empty contribution:
-  // a fleet recipe whose `--merge 'out/*.tbl'` glob finds no files must
-  // fail here rather than "succeed" after merging nothing.
+  // a fleet recipe whose `--merge 'out/*'` glob finds no stores must fail
+  // here rather than report holes for every cell.
   std::vector<std::string> expanded;
   for (const auto& pattern : merge_paths) {
     ::glob_t g{};
     const int rc = ::glob(pattern.c_str(), 0, nullptr, &g);
     if (rc == GLOB_NOMATCH || (rc == 0 && g.gl_pathc == 0)) {
       ::globfree(&g);
-      std::fprintf(stderr,
-                   "micro_sweep: --merge '%s' matched no shard files\n",
+      std::fprintf(stderr, "micro_sweep: --merge '%s' matched no stores\n",
                    pattern.c_str());
       return 2;
     }
@@ -509,36 +536,34 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
     }
     ::globfree(&g);
   }
-  std::vector<exp::ShardTable> tables;
+  std::vector<std::unique_ptr<exp::ResultCache>> stores;
+  std::vector<exp::ResultCache*> views;
   for (const auto& path : expanded) {
-    exp::ShardTable table;
-    std::string error;
-    if (!exp::load_shard_table(path, &table, &error)) {
-      std::fprintf(stderr, "micro_sweep: %s: %s\n", path.c_str(),
-                   error.c_str());
+    if (!std::filesystem::is_directory(path)) {
+      std::fprintf(stderr, "micro_sweep: --merge %s is not a store "
+                           "directory\n",
+                   path.c_str());
       return 2;
     }
-    if (table.grid_size != grid.size()) {
-      std::fprintf(stderr,
-                   "micro_sweep: %s covers a %" PRIu64
-                   "-cell grid but the current flags build %zu cells — "
-                   "rerun with the --runs/--seeds the shards used\n",
-                   path.c_str(), table.grid_size, grid.size());
-      return 2;
-    }
-    std::printf("  loaded %s: shard %d/%d, %zu rows\n", path.c_str(),
-                table.shard_index, table.shard_count, table.rows.size());
-    tables.push_back(std::move(table));
+    stores.push_back(std::make_unique<exp::ResultCache>(path));
+    views.push_back(stores.back().get());
+    std::printf("  store %s: %zu entries\n", path.c_str(),
+                stores.back()->size());
   }
-  std::string error;
-  const auto merged = exp::merge_shard_tables(tables, &error);
-  if (!merged) {
-    std::fprintf(stderr, "micro_sweep: merge failed: %s\n", error.c_str());
+  std::vector<exp::RunResult> merged;
+  const std::vector<uint64_t> missing =
+      exp::merge_stores(grid, views, &merged);
+  if (!missing.empty()) {
+    std::fprintf(stderr,
+                 "micro_sweep: merge failed: %zu of %zu cells are in no "
+                 "store (spec indices %s) — run the shards that own them, "
+                 "or pass the --runs/--seeds the shards used\n",
+                 missing.size(), grid.size(), index_ranges(missing).c_str());
     return 1;
   }
-  const std::string merged_hex = digest_hex(digest(grid, *merged));
-  std::printf("  merged %zu tables -> %zu results, digest %s\n",
-              tables.size(), merged->size(), merged_hex.c_str());
+  const std::string merged_hex = digest_hex(digest(grid, merged));
+  std::printf("  merged %zu stores -> %zu results, digest %s\n",
+              stores.size(), merged.size(), merged_hex.c_str());
 
   benchharness::JsonWriter json;
   json.field("grid_points", static_cast<int64_t>(grid.points().size()));
@@ -546,9 +571,9 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
   json.field("seeds_per_point", args.runs);
   json.field("seed_base", static_cast<int64_t>(shape.seed0));
   json.field("smoke", shape.smoke);
-  json.field("shard_count", tables.empty() ? 0 : tables.front().shard_count);
+  json.field("stores", static_cast<int64_t>(stores.size()));
   json.field("merged_digest", merged_hex);
-  json.field("virtual_seconds", virtual_seconds(*merged), 3);
+  json.field("virtual_seconds", virtual_seconds(merged), 3);
   json.write(json_out);
   return 0;
 }
@@ -557,11 +582,10 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
 
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("CF_BENCH_SMOKE") != nullptr;
-  // --baseline/--cache-dir/--table-out/--merge are this bench's own
-  // flags; strip them before the shared parser sees the rest.
+  // --baseline/--cache-dir/--merge/--faults are this bench's own flags;
+  // strip them before the shared parser sees the rest.
   std::string baseline_path;
   std::string cache_dir;
-  std::string table_out;
   std::string faults_spec;
   std::vector<std::string> merge_paths;
   std::vector<char*> filtered{argv, argv + argc};
@@ -570,7 +594,6 @@ int main(int argc, char** argv) {
     std::string* dest = nullptr;
     if (arg == "--baseline") dest = &baseline_path;
     if (arg == "--cache-dir") dest = &cache_dir;
-    if (arg == "--table-out") dest = &table_out;
     if (arg == "--faults") dest = &faults_spec;
     if (dest == nullptr && arg != "--merge") {
       ++i;
@@ -600,27 +623,25 @@ int main(int argc, char** argv) {
   const GridShape shape{static_cast<int64_t>(grid.points().size()), args.runs,
                         seed0, smoke};
 
-  if (!merge_paths.empty() && args.shard_count > 1) {
+  if (!merge_paths.empty() && (args.shard_count > 1 || !cache_dir.empty())) {
     return fail_usage(argv[0],
-                      "--merge and --shard are mutually exclusive (shards "
-                      "produce tables; the merge consumes them)");
-  }
-  if (!table_out.empty() && args.shard_count <= 1) {
-    return fail_usage(argv[0], "--table-out requires --shard i/N");
+                      "--merge excludes --shard and --cache-dir (shards "
+                      "fill stores; the merge reads the stores it is "
+                      "given)");
   }
   if (!args.supervised &&
-      (!args.journal_dir.empty() || !args.crash_at.empty() ||
-       args.spec_timeout_s > 0 || args.sweep_timeout_s > 0)) {
+      (!args.crash_at.empty() || args.spec_timeout_s > 0 ||
+       args.sweep_timeout_s > 0)) {
     return fail_usage(argv[0],
-                      "--journal/--crash-at/--spec-timeout/--sweep-timeout "
-                      "require --supervised");
+                      "--crash-at/--spec-timeout/--sweep-timeout require "
+                      "--supervised");
   }
   if (args.supervised &&
-      (args.shard_count > 1 || !merge_paths.empty() || !cache_dir.empty() ||
+      (args.shard_count > 1 || !merge_paths.empty() ||
        !baseline_path.empty() || !faults_spec.empty())) {
     return fail_usage(argv[0],
-                      "--supervised runs standalone (no shard/merge/cache/"
-                      "baseline/faults)");
+                      "--supervised runs standalone (no shard/merge/"
+                      "baseline/faults; --cache-dir names its store)");
   }
 
   std::printf("micro_sweep: Fig. 10 grid, %zu points / %zu co-simulations "
@@ -639,9 +660,9 @@ int main(int argc, char** argv) {
   }
 
   if (args.supervised) {
-    return run_supervised_mode(grid, args, shape, argv[0]);
+    return run_supervised_mode(grid, args, shape, argv[0], cache_dir);
   }
-  if (args.shard_count > 1) return run_shard_mode(grid, args, table_out);
+  if (args.shard_count > 1) return run_shard_mode(grid, args, cache_dir);
   if (!merge_paths.empty()) {
     return run_merge_mode(grid, args, shape, merge_paths, args.json_out);
   }

@@ -30,11 +30,14 @@
 //                           [--spec-timeout S] [--sweep-timeout S]
 //                           [--crash-at SPEC:MODE[:N]]
 //                                            crash-safe supervised sweep of
-//                                            the built-in demo grid,
-//                                            journaled into <dir>
+//                                            the built-in demo grid, its
+//                                            results stored in <dir> (a
+//                                            cache store: `cache stats|
+//                                            verify` work on it)
 //   cuttlefishctl sweep resume <dir> [...]   finish an interrupted run
 //                                            (same flags as `run`)
-//   cuttlefishctl sweep status <dir>         journal + quarantine summary
+//   cuttlefishctl sweep status <dir>         grid pin, stored results,
+//                                            quarantine rows
 //
 // policy: full (default) | core | uncore | monitor | mpc — any name
 // `cuttlefishctl policies` lists.
@@ -725,7 +728,7 @@ int cmd_arbiter(int argc, char** argv) {
 // (docs/SUPERVISOR.md). The grid is a fixed demo campaign — every suite
 // benchmark under Default and the full Cuttlefish policy, seeds fixed at
 // grid-expansion time — so `run` and `resume` invoked with the same
-// --runs build byte-identical grids and the journal's grid-digest check
+// --runs build byte-identical grids and the manifest's grid-digest check
 // holds across processes.
 
 exp::SweepGrid build_sweep_demo_grid(const sim::MachineConfig& machine,
@@ -814,22 +817,22 @@ int cmd_sweep_run(int argc, char** argv, bool resume) {
     opt.crash = *parsed;
   }
 
-  // `run` on an existing journal would silently continue someone else's
+  // `run` on a started sweep dir would silently continue someone else's
   // campaign; `resume` without one has nothing to resume. Both are
   // operator mistakes worth naming.
-  const bool have_journal = std::filesystem::exists(
-      std::filesystem::path(dir) / exp::kJournalFileName);
-  if (!resume && have_journal) {
+  const bool started = std::filesystem::exists(
+      std::filesystem::path(dir) / exp::kQuarantineFileName);
+  if (!resume && started) {
     std::fprintf(stderr,
-                 "sweep run: %s already holds a journal — use `cuttlefishctl "
-                 "sweep resume %s` to finish it, or point --runs at a fresh "
+                 "sweep run: %s already holds a sweep — use `cuttlefishctl "
+                 "sweep resume %s` to finish it, or pick a fresh "
                  "directory\n",
                  dir.c_str(), dir.c_str());
     return 2;
   }
-  if (resume && !have_journal) {
+  if (resume && !started) {
     std::fprintf(stderr,
-                 "sweep resume: no journal in %s (start one with "
+                 "sweep resume: no sweep in %s (start one with "
                  "`cuttlefishctl sweep run %s`)\n",
                  dir.c_str(), dir.c_str());
     return 2;
@@ -845,7 +848,7 @@ int cmd_sweep_run(int argc, char** argv, bool resume) {
     return 2;
   }
   std::printf("%s %zu-spec demo grid (%zu points, %d rep%s) under the "
-              "supervisor, journal %s\n",
+              "supervisor, store %s\n",
               resume ? "resuming" : "running", grid.size(),
               grid.points().size(), runs, runs == 1 ? "" : "s", dir.c_str());
 
@@ -857,7 +860,7 @@ int cmd_sweep_run(int argc, char** argv, bool resume) {
     return 1;
   }
 
-  std::printf("  %zu resumed from journal, %zu executed, %zu retries\n",
+  std::printf("  %zu resumed from the store, %zu executed, %zu retries\n",
               report.resumed, report.executed, report.retries);
   for (const exp::QuarantineRow& q : report.quarantined) {
     std::printf("  quarantined spec %llu (%s) after %u attempts: %s\n",
@@ -874,7 +877,7 @@ int cmd_sweep_run(int argc, char** argv, bool resume) {
   }
   if (!report.completed) {
     std::fprintf(stderr,
-                 "sweep: incomplete (%zu specs unfinished) — journal kept; "
+                 "sweep: incomplete (%zu specs unfinished) — store kept; "
                  "rerun with `cuttlefishctl sweep resume %s`\n",
                  report.unfinished.size(), dir.c_str());
     return 1;
@@ -907,37 +910,36 @@ int cmd_sweep_run(int argc, char** argv, bool resume) {
 }
 
 int cmd_sweep_status(const char* dir) {
-  const exp::JournalStatus status = exp::read_journal_status(dir);
-  if (!status.journal_present) {
-    std::printf("no journal in %s (start one with `cuttlefishctl sweep run "
+  const exp::SweepStatus status = exp::read_sweep_status(dir);
+  if (!status.manifest_present) {
+    std::printf("no sweep in %s (start one with `cuttlefishctl sweep run "
                 "%s`)\n",
                 dir, dir);
     return 1;
   }
   if (!status.valid) {
-    std::printf("journal %s/%s: INVALID — %s\n", dir, exp::kJournalFileName,
-                status.error.c_str());
+    std::printf("sweep %s: %s is torn or corrupt — a resume re-pins the "
+                "grid and re-attempts quarantined specs\n",
+                dir, exp::kQuarantineFileName);
     return 1;
   }
-  std::printf("journal %s/%s\n", dir, exp::kJournalFileName);
-  std::printf("  grid:        %s (%llu specs)\n", status.grid.hex().c_str(),
-              static_cast<unsigned long long>(status.grid_size));
-  std::printf("  done:        %llu / %llu%s\n",
-              static_cast<unsigned long long>(status.done),
-              static_cast<unsigned long long>(status.grid_size),
-              status.done + status.quarantined.size() >= status.grid_size
+  const exp::SweepManifest& m = status.manifest;
+  std::printf("sweep %s\n", dir);
+  std::printf("  grid:        %s (%llu specs)\n", m.grid.hex().c_str(),
+              static_cast<unsigned long long>(m.grid_size));
+  std::printf("  stored:      %llu / %llu%s\n",
+              static_cast<unsigned long long>(status.stored),
+              static_cast<unsigned long long>(m.grid_size),
+              status.stored + m.quarantined.size() >= m.grid_size
                   ? "  (complete)"
                   : "  (resumable)");
-  std::printf("  retried:     %llu spec%s finished on attempt > 0\n",
-              static_cast<unsigned long long>(status.retried),
-              status.retried == 1 ? "" : "s");
-  if (status.dropped_bytes != 0) {
-    std::printf("  torn tail:   %llu bytes dropped by the scan (the specs "
-                "they covered re-run on resume)\n",
-                static_cast<unsigned long long>(status.dropped_bytes));
+  if (status.skipped_records != 0) {
+    std::printf("  torn tail:   %llu bad record run(s) dropped by the scan "
+                "(their specs re-run on resume)\n",
+                static_cast<unsigned long long>(status.skipped_records));
   }
-  std::printf("  quarantined: %zu\n", status.quarantined.size());
-  for (const exp::QuarantineRow& q : status.quarantined) {
+  std::printf("  quarantined: %zu\n", m.quarantined.size());
+  for (const exp::QuarantineRow& q : m.quarantined) {
     std::printf("    spec %llu: %u attempts, %s\n",
                 static_cast<unsigned long long>(q.spec_index), q.attempts,
                 q.timed_out ? "per-spec timeout"

@@ -1,15 +1,13 @@
 #include "exp/result_cache.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
-#include "common/assert.hpp"
 #include "common/log.hpp"
 #include "exp/blob.hpp"
+#include "exp/record_file.hpp"
 
 namespace fs = std::filesystem;
 
@@ -20,54 +18,21 @@ namespace {
 constexpr uint32_t kResultMagic = 0x43465252u;  // "CFRR"
 constexpr uint32_t kResultFormatVersion = 1;
 constexpr uint32_t kShardMagic = 0x43465348u;  // "CFSH"
-constexpr uint32_t kShardFormatVersion = 1;
-constexpr uint32_t kRecordMagic = 0x43465243u;  // "CFRC"
-constexpr uint32_t kTableMagic = 0x43465442u;  // "CFTB"
-constexpr uint32_t kTableFormatVersion = 1;
+/// v2: records framed by the record-file primitive (exp/record_file.hpp).
+/// v1 shards are skipped with a warning and their cells re-simulate.
+constexpr uint32_t kShardFormatVersion = 2;
 
-/// Fixed part of a record after its magic: digest (16) + two lengths.
-constexpr size_t kRecordHeader = 16 + 4 + 4;
+/// Fixed part of an entry payload: digest (16) + spec length.
+constexpr size_t kEntryHeader = 16 + 4;
 
-uint64_t checksum64(const void* data, size_t size) {
-  return digest_bytes(data, size).lo;
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return false;
-  *out = std::move(data);
-  return true;
-}
-
-/// Write-temp-then-rename: the destination either keeps its old content
-/// or atomically gains the complete new one — never a torn prefix.
-bool write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp =
-      path + ".tmp-" + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      CF_LOG_ERROR("result cache: cannot open %s for writing", tmp.c_str());
-      return false;
-    }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out.good()) {
-      CF_LOG_ERROR("result cache: short write to %s", tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    CF_LOG_ERROR("result cache: rename %s -> %s failed: %s", tmp.c_str(),
-                 path.c_str(), ec.message().c_str());
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
+std::string encode_entry(const ResultCache::Insert& ins) {
+  BlobWriter w;
+  w.u64(ins.digest.hi);
+  w.u64(ins.digest.lo);
+  w.u32(static_cast<uint32_t>(ins.spec_blob.size()));
+  w.bytes(ins.spec_blob.data(), ins.spec_blob.size());
+  w.bytes(ins.result_bytes.data(), ins.result_bytes.size());
+  return w.take();
 }
 
 }  // namespace
@@ -164,7 +129,7 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
 }
 
 void ResultCache::scan_all() {
-  shard_paths_.clear();
+  shards_.clear();
   entries_.clear();
   index_.clear();
   skipped_records_ = 0;
@@ -190,65 +155,56 @@ void ResultCache::scan_shard(const std::string& path) {
     ++skipped_records_;
     return;
   }
-  BlobReader header(data.data(), data.size());
-  if (header.u32() != kShardMagic ||
-      header.u32() != kShardFormatVersion) {
+  const RecordScan scan =
+      scan_records(data, kShardMagic, kShardFormatVersion);
+  if (!scan.header_ok) {
     CF_LOG_WARN("result cache: %s is not a v%u shard; ignoring",
                 path.c_str(), kShardFormatVersion);
     ++skipped_records_;
     return;
   }
-  const size_t shard_index = shard_paths_.size();
-  shard_paths_.push_back(path);
-
-  size_t pos = 8;  // past the header
-  while (pos < data.size()) {
-    // Validate the whole record before registering anything: magic,
-    // in-bounds lengths, then the checksum over digest + lengths +
-    // payloads. Any failure means the tail of this shard (a torn append,
-    // bit rot) is untrustworthy — stop and let those cells re-simulate.
-    uint32_t magic = 0;
-    if (pos + 4 + kRecordHeader > data.size()) break;
-    std::memcpy(&magic, data.data() + pos, 4);
-    if (magic != kRecordMagic) break;
-    BlobReader rec(data.data() + pos + 4, kRecordHeader);
-    Entry entry;
-    entry.digest.hi = rec.u64();
-    entry.digest.lo = rec.u64();
-    entry.spec_len = rec.u32();
-    entry.result_len = rec.u32();
-    const uint64_t body_len = kRecordHeader +
-                              static_cast<uint64_t>(entry.spec_len) +
-                              entry.result_len;
-    if (pos + 4 + body_len + 8 > data.size()) break;
-    uint64_t stored_checksum = 0;
-    std::memcpy(&stored_checksum, data.data() + pos + 4 + body_len, 8);
-    if (checksum64(data.data() + pos + 4, body_len) != stored_checksum) {
-      break;
+  const size_t shard = shards_.size();
+  shards_.push_back(Shard{path, scan.end});
+  for (const RecordSpan& rec : scan.records) {
+    if (!index_entry(shard, rec.offset,
+                     std::string_view(data).substr(rec.offset, rec.size))) {
+      ++skipped_records_;
     }
-    entry.shard = shard_index;
-    entry.spec_offset = pos + 4 + kRecordHeader;
-    entry.result_offset = entry.spec_offset + entry.spec_len;
-    // First occurrence wins; later duplicates (merged stores share
-    // content) are valid but redundant.
-    if (index_.emplace(entry.digest, entries_.size()).second) {
-      entries_.push_back(entry);
-    }
-    pos += 4 + body_len + 8;
-    continue;
   }
-  if (pos < data.size()) {
+  if (scan.end < data.size()) {
     CF_LOG_WARN(
-        "result cache: %s: bad record at offset %zu; ignoring the rest of "
-        "the shard (%zu trailing bytes)",
-        path.c_str(), pos, data.size() - pos);
+        "result cache: %s: bad record at offset %llu; ignoring the rest of "
+        "the shard (%llu trailing bytes)",
+        path.c_str(), static_cast<unsigned long long>(scan.end),
+        static_cast<unsigned long long>(data.size() - scan.end));
     ++skipped_records_;
   }
 }
 
+bool ResultCache::index_entry(size_t shard, uint64_t offset,
+                              std::string_view payload) {
+  BlobReader r(payload.data(), payload.size());
+  Entry entry;
+  entry.digest.hi = r.u64();
+  entry.digest.lo = r.u64();
+  entry.spec_len = r.u32();
+  if (!r.ok() || entry.spec_len > r.remaining()) return false;
+  entry.shard = shard;
+  entry.spec_offset = offset + kEntryHeader;
+  entry.result_offset = entry.spec_offset + entry.spec_len;
+  entry.result_len =
+      static_cast<uint32_t>(payload.size() - kEntryHeader - entry.spec_len);
+  // First occurrence wins; later duplicates (merged stores share content)
+  // are valid but redundant.
+  if (index_.emplace(entry.digest, entries_.size()).second) {
+    entries_.push_back(entry);
+  }
+  return true;
+}
+
 bool ResultCache::read_span(size_t shard, uint64_t offset, uint32_t len,
                            std::string* out) const {
-  std::ifstream in(shard_paths_[shard], std::ios::binary);
+  std::ifstream in(shards_[shard].path, std::ios::binary);
   if (!in) return false;
   in.seekg(static_cast<std::streamoff>(offset));
   std::string buf(len, '\0');
@@ -274,68 +230,62 @@ bool ResultCache::lookup(const SpecDigest& digest, RunResult* out) {
 }
 
 void ResultCache::insert_batch(const std::vector<Insert>& batch) {
-  BlobWriter shard;
-  shard.u32(kShardMagic);
-  shard.u32(kShardFormatVersion);
-  std::vector<Entry> pending;
+  std::string content = record_file_header(kShardMagic, kShardFormatVersion);
+  std::vector<RecordSpan> pending;
   std::unordered_map<SpecDigest, bool, SpecDigestHash> in_batch;
   for (const Insert& ins : batch) {
-    CF_ASSERT(ins.result != nullptr, "insert without a result");
     // Skip entries the store (or this very batch — grids may contain
     // duplicate points) already holds.
     if (index_.count(ins.digest) != 0) continue;
     if (!in_batch.emplace(ins.digest, true).second) continue;
-    const std::string result_bytes = encode_result(*ins.result);
-    BlobWriter body;
-    body.u64(ins.digest.hi);
-    body.u64(ins.digest.lo);
-    body.u32(static_cast<uint32_t>(ins.spec_blob.size()));
-    body.u32(static_cast<uint32_t>(result_bytes.size()));
-    body.bytes(ins.spec_blob.data(), ins.spec_blob.size());
-    body.bytes(result_bytes.data(), result_bytes.size());
-    Entry entry;
-    entry.digest = ins.digest;
-    entry.spec_len = static_cast<uint32_t>(ins.spec_blob.size());
-    entry.result_len = static_cast<uint32_t>(result_bytes.size());
-    entry.spec_offset = shard.size() + 4 + kRecordHeader;
-    entry.result_offset = entry.spec_offset + entry.spec_len;
-    pending.push_back(entry);
-    shard.u32(kRecordMagic);
-    shard.bytes(body.data().data(), body.size());
-    shard.u64(checksum64(body.data().data(), body.size()));
+    const std::string payload = encode_entry(ins);
+    append_record(&content, payload);
+    pending.push_back(RecordSpan{content.size() - 8 - payload.size(),
+                                 static_cast<uint32_t>(payload.size())});
   }
   if (pending.empty()) return;
 
-  const std::string content = shard.take();
   // Content-hash naming makes shard writes idempotent and store merges
   // collision-free: copying shards between stores can only ever add files.
-  const std::string name =
-      "shard-" + digest_bytes(content.data(), content.size()).hex().substr(
-                     0, 16) +
+  const std::string path =
+      dir_ + "/shard-" +
+      digest_bytes(content.data(), content.size()).hex().substr(0, 16) +
       ".bin";
-  const std::string path = dir_ + "/" + name;
   std::error_code ec;
   if (!fs::exists(path, ec)) {
     if (!write_file_atomic(path, content)) return;
   }
-  const size_t shard_index = shard_paths_.size();
-  shard_paths_.push_back(path);
-  for (Entry& entry : pending) {
-    entry.shard = shard_index;
-    if (index_.emplace(entry.digest, entries_.size()).second) {
-      entries_.push_back(entry);
-    }
+  const size_t shard = shards_.size();
+  shards_.push_back(Shard{path, content.size()});
+  for (const RecordSpan& rec : pending) {
+    index_entry(shard, rec.offset,
+                std::string_view(content).substr(rec.offset, rec.size));
   }
+}
+
+bool ResultCache::append(const std::string& log, const Insert& ins) {
+  if (index_.count(ins.digest) != 0) return true;
+  const std::string path = dir_ + "/shard-log-" + log + ".bin";
+  size_t shard = 0;
+  while (shard < shards_.size() && shards_[shard].path != path) ++shard;
+  if (shard == shards_.size()) shards_.push_back(Shard{path, 0});
+  const std::string payload = encode_entry(ins);
+  if (!append_record_file(path, kShardMagic, kShardFormatVersion, payload,
+                          &shards_[shard].end)) {
+    return false;
+  }
+  return index_entry(shard, shards_[shard].end - 8 - payload.size(),
+                     payload);
 }
 
 ResultCache::Stats ResultCache::stats() const {
   Stats s;
   s.entries = entries_.size();
-  s.shards = shard_paths_.size();
+  s.shards = shards_.size();
   s.skipped_records = skipped_records_;
   std::error_code ec;
-  for (const std::string& path : shard_paths_) {
-    const auto size = fs::file_size(path, ec);
+  for (const Shard& shard : shards_) {
+    const auto size = fs::file_size(shard.path, ec);
     if (!ec) s.bytes += size;
   }
   return s;
@@ -370,12 +320,12 @@ uint64_t ResultCache::gc(uint64_t max_bytes) {
   std::vector<ShardFile> files;
   uint64_t total = 0;
   std::error_code ec;
-  for (const std::string& path : shard_paths_) {
+  for (const Shard& shard : shards_) {
     ShardFile f;
-    f.path = path;
-    f.bytes = fs::file_size(path, ec);
+    f.path = shard.path;
+    f.bytes = fs::file_size(f.path, ec);
     if (ec) continue;
-    f.mtime = fs::last_write_time(path, ec);
+    f.mtime = fs::last_write_time(f.path, ec);
     if (ec) continue;
     total += f.bytes;
     files.push_back(std::move(f));
@@ -416,219 +366,6 @@ bool ResultCache::entry(size_t i, EntryView* out) {
   }
   out->digest = entry.digest;
   return true;
-}
-
-// ---- sharded partial result tables ------------------------------------
-
-bool save_shard_table(const std::string& path, const ShardTable& table) {
-  BlobWriter body;
-  body.u32(kTableFormatVersion);
-  body.u64(table.grid_size);
-  body.i32(table.shard_index);
-  body.i32(table.shard_count);
-  body.u64(table.rows.size());
-  for (const auto& [index, result] : table.rows) {
-    const std::string bytes = encode_result(result);
-    body.u64(index);
-    body.u32(static_cast<uint32_t>(bytes.size()));
-    body.bytes(bytes.data(), bytes.size());
-  }
-  BlobWriter file;
-  file.u32(kTableMagic);
-  file.bytes(body.data().data(), body.size());
-  file.u64(checksum64(body.data().data(), body.size()));
-  return write_file_atomic(path, file.take());
-}
-
-bool load_shard_table(const std::string& path, ShardTable* out,
-                      std::string* error) {
-  std::string data;
-  if (!read_file(path, &data)) {
-    *error = "cannot read " + path;
-    return false;
-  }
-  if (data.size() < 12) {
-    *error = path + " is truncated";
-    return false;
-  }
-  BlobReader magic_reader(data.data(), 4);
-  if (magic_reader.u32() != kTableMagic) {
-    *error = path + " is not a shard table";
-    return false;
-  }
-  const size_t body_len = data.size() - 12;
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, data.data() + 4 + body_len, 8);
-  if (checksum64(data.data() + 4, body_len) != stored_checksum) {
-    *error = path + " failed its checksum (corrupt or truncated)";
-    return false;
-  }
-  BlobReader r(data.data() + 4, body_len);
-  if (r.u32() != kTableFormatVersion) {
-    *error = path + " has an unsupported table version";
-    return false;
-  }
-  ShardTable table;
-  table.grid_size = r.u64();
-  table.shard_index = r.i32();
-  table.shard_count = r.i32();
-  const uint64_t rows = r.u64();
-  if (!r.ok() || rows > r.remaining() / 12) {
-    *error = path + " has a malformed header";
-    return false;
-  }
-  table.rows.reserve(rows);
-  for (uint64_t i = 0; i < rows; ++i) {
-    const uint64_t index = r.u64();
-    const uint32_t len = r.u32();
-    const char* bytes = r.span(len);
-    RunResult result;
-    if (bytes == nullptr || !decode_result(bytes, len, &result)) {
-      *error = path + " has an undecodable result row";
-      return false;
-    }
-    table.rows.emplace_back(index, std::move(result));
-  }
-  if (!r.ok() || r.remaining() != 0) {
-    *error = path + " has trailing or missing bytes";
-    return false;
-  }
-  table.source = path;
-  *out = std::move(table);
-  return true;
-}
-
-namespace {
-
-/// "shard i/N (file.tbl)" when the table came from disk, "shard i/N"
-/// otherwise — merge diagnostics always lead with the artifact to act on.
-std::string table_label(const ShardTable& table) {
-  std::string label = "shard " + std::to_string(table.shard_index) + "/" +
-                      std::to_string(table.shard_count);
-  if (!table.source.empty()) label += " (" + table.source + ")";
-  return label;
-}
-
-}  // namespace
-
-std::optional<std::vector<RunResult>> merge_shard_tables(
-    const std::vector<ShardTable>& tables, std::string* error) {
-  if (tables.empty()) {
-    *error = "no shard tables to merge";
-    return std::nullopt;
-  }
-  const uint64_t grid_size = tables.front().grid_size;
-  const int shard_count = tables.front().shard_count;
-  // Duplicate tables are diagnosed up front — by shard index AND by the
-  // files claiming it — so a CI merge that globbed the same file twice
-  // (or two processes that ran the same shard) hears exactly which
-  // artifacts collided rather than a per-row "covered twice" at some
-  // arbitrary row.
-  {
-    std::vector<std::vector<const ShardTable*>> claims(
-        static_cast<size_t>(std::max(shard_count, 1)));
-    for (const ShardTable& table : tables) {
-      if (table.shard_index < 0 || table.shard_index >= shard_count) {
-        continue;  // reported with full context below
-      }
-      claims[static_cast<size_t>(table.shard_index)].push_back(&table);
-    }
-    std::string duplicated;
-    for (int s = 0; s < shard_count; ++s) {
-      const auto& owners = claims[static_cast<size_t>(s)];
-      if (owners.size() < 2) continue;
-      if (!duplicated.empty()) duplicated += "; ";
-      duplicated +=
-          "shard " + std::to_string(s) + "/" + std::to_string(shard_count);
-      std::string files;
-      for (const ShardTable* t : owners) {
-        if (t->source.empty()) continue;
-        if (!files.empty()) files += ", ";
-        files += t->source;
-      }
-      if (!files.empty()) duplicated += " (from " + files + ")";
-    }
-    if (!duplicated.empty()) {
-      *error = "duplicated shard tables: " + duplicated +
-               " — each shard may appear once in the merge list";
-      return std::nullopt;
-    }
-  }
-  std::vector<RunResult> results(grid_size);
-  std::vector<uint8_t> covered(grid_size, 0);
-  for (const ShardTable& table : tables) {
-    if (table.grid_size != grid_size || table.shard_count != shard_count) {
-      *error = table_label(table) + " disagrees on grid shape (" +
-               std::to_string(table.grid_size) + " cells/" +
-               std::to_string(table.shard_count) + " shards vs " +
-               std::to_string(grid_size) + "/" +
-               std::to_string(shard_count) + ")";
-      return std::nullopt;
-    }
-    if (table.shard_index < 0 || table.shard_index >= shard_count) {
-      *error = table_label(table) + ": shard index out of range for " +
-               std::to_string(shard_count) + " shards";
-      return std::nullopt;
-    }
-    for (const auto& [index, result] : table.rows) {
-      if (index >= grid_size) {
-        *error = "row index " + std::to_string(index) +
-                 " outside the grid of " + std::to_string(grid_size) +
-                 " in " + table_label(table);
-        return std::nullopt;
-      }
-      if (static_cast<int>(index % static_cast<uint64_t>(shard_count)) !=
-          table.shard_index) {
-        *error = "row " + std::to_string(index) + " does not belong to " +
-                 table_label(table);
-        return std::nullopt;
-      }
-      if (covered[index]) {
-        *error = "row " + std::to_string(index) + " covered twice (last by " +
-                 table_label(table) + ")";
-        return std::nullopt;
-      }
-      covered[index] = 1;
-      results[index] = result;
-    }
-  }
-  // An imperfect partition is named precisely: every uncovered row maps
-  // back to its owning shard (index % N), so the error lists exactly the
-  // --shard i/N invocations still missing instead of the first bad row.
-  uint64_t missing_rows = 0;
-  std::vector<uint8_t> shard_missing(
-      static_cast<size_t>(std::max(shard_count, 1)), 0);
-  for (uint64_t i = 0; i < grid_size; ++i) {
-    if (!covered[i]) {
-      ++missing_rows;
-      shard_missing[i % static_cast<uint64_t>(shard_count)] = 1;
-    }
-  }
-  if (missing_rows > 0) {
-    std::string shards;
-    for (int s = 0; s < shard_count; ++s) {
-      if (!shard_missing[static_cast<size_t>(s)]) continue;
-      if (!shards.empty()) shards += ", ";
-      shards += std::to_string(s) + "/" + std::to_string(shard_count);
-    }
-    // Name what WAS merged alongside what is missing: the absent shard
-    // has no file to point at, but the loaded file list tells the
-    // operator which glob/artifact set came up short.
-    std::string merged_files;
-    for (const ShardTable& table : tables) {
-      if (table.source.empty()) continue;
-      if (!merged_files.empty()) merged_files += ", ";
-      merged_files += table.source;
-    }
-    *error = std::to_string(missing_rows) + " of " +
-             std::to_string(grid_size) +
-             " rows uncovered; missing shard tables: " + shards;
-    if (!merged_files.empty()) {
-      *error += " (merged files: " + merged_files + ")";
-    }
-    return std::nullopt;
-  }
-  return results;
 }
 
 }  // namespace cuttlefish::exp

@@ -1,32 +1,37 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "exp/driver.hpp"
 #include "exp/spec_digest.hpp"
 
-/// On-disk content-addressed store for sweep results, plus the partial
-/// result tables behind the `--shard i/N` protocol. Both share one
-/// byte-exact RunResult codec so a cached or merged result is
-/// indistinguishable — bit for bit — from a fresh co-simulation.
+/// On-disk content-addressed store for sweep results: the one persistence
+/// story behind cached sweeps, `--shard i/N` fleets and supervised resume.
+/// Results are stored as byte-exact RunResult codec output, so a stored
+/// result is indistinguishable, bit for bit, from a fresh co-simulation.
 ///
 /// Store layout (`<dir>/`):
-///   shard-<hex16>.bin   append-only record files, named by their own
-///                       content hash (so merging two stores is literally
-///                       copying files; identical shards collide to one)
+///   shard-<hex16>.bin   record files (exp/record_file.hpp) written whole
+///                       by one cached sweep, named by their own content
+///                       hash (so merging two stores is copying files;
+///                       identical shards collide to one)
+///   shard-log-<hex16>.bin
+///                       an append log: the supervisor adds each accepted
+///                       result as it lands (`append`)
 ///   last_run.stats      hit/miss counters of the most recent cached sweep
 ///
-/// Crash safety: shards are written to a dot-temp file and renamed into
-/// place, so a torn write never corrupts an existing shard; within a file,
-/// every record carries a checksum and the open-time scan stops at the
-/// first bad record (a truncated tail costs its records, never wrong
-/// results). The cache is a single-writer, single-reader object: the sweep
-/// engine drives it from the coordinating thread only — workers touch it
-/// never (lookups happen before the fan-out, inserts after the join).
+/// Crash safety is the record-file primitive's: whole shards are written
+/// temp + rename, every record carries a checksum, the open-time scan stops
+/// at the first bad record (a truncated tail costs its records, never
+/// wrong results), and an append log's torn tail is truncated before the
+/// next append. The cache is a single-writer, single-reader object: the
+/// sweep engine drives it from the coordinating thread only — workers
+/// touch it never (lookups happen before the fan-out, inserts after the
+/// join).
 namespace cuttlefish::exp {
 
 /// Byte-exact RunResult codec (versioned; scalars + timeline + TIPI node
@@ -51,12 +56,18 @@ class ResultCache {
 
   struct Insert {
     SpecDigest digest;
-    std::string spec_blob;  // canonical spec bytes (enables `verify`)
-    const RunResult* result = nullptr;
+    std::string spec_blob;     // canonical spec bytes (enables `verify`)
+    std::string result_bytes;  // encode_result output
   };
   /// Persists a batch as ONE new shard (temp + rename; no-op for an empty
   /// or fully duplicate batch). Entries already present are skipped.
   void insert_batch(const std::vector<Insert>& batch);
+
+  /// Appends one entry to the append log `shard-log-<log>.bin` (created
+  /// on first use; a torn tail is truncated first), on disk when this
+  /// returns. True when the entry is stored, including when the store
+  /// already held it.
+  bool append(const std::string& log, const Insert& entry);
 
   struct Stats {
     size_t entries = 0;
@@ -92,9 +103,13 @@ class ResultCache {
   const std::string& dir() const { return dir_; }
 
  private:
+  struct Shard {
+    std::string path;
+    uint64_t end = 0;  // end of the last good record (append point)
+  };
   struct Entry {
     SpecDigest digest;
-    size_t shard = 0;  // index into shard_paths_
+    size_t shard = 0;  // index into shards_
     uint64_t spec_offset = 0;
     uint32_t spec_len = 0;
     uint64_t result_offset = 0;
@@ -103,42 +118,17 @@ class ResultCache {
 
   void scan_all();
   void scan_shard(const std::string& path);
+  /// Indexes the entry framed by `payload` (at `offset` in shard `shard`);
+  /// false when the payload is not a well-formed entry.
+  bool index_entry(size_t shard, uint64_t offset, std::string_view payload);
   bool read_span(size_t shard, uint64_t offset, uint32_t len,
                  std::string* out) const;
 
   std::string dir_;
-  std::vector<std::string> shard_paths_;
+  std::vector<Shard> shards_;
   std::vector<Entry> entries_;
   std::unordered_map<SpecDigest, size_t, SpecDigestHash> index_;
   uint64_t skipped_records_ = 0;
 };
-
-// ---- sharded partial result tables ------------------------------------
-
-/// One process's share of a grid under the `--shard i/N` protocol: the
-/// results of every spec index it owns, keyed by that index so N tables
-/// reassemble the single-process result vector byte-identically.
-struct ShardTable {
-  uint64_t grid_size = 0;
-  int shard_index = 0;
-  int shard_count = 1;
-  std::vector<std::pair<uint64_t, RunResult>> rows;
-  /// File this table was loaded from (set by load_shard_table; empty for
-  /// in-memory tables). Diagnostics only — never serialized: merge errors
-  /// name the offending *file*, not just the shard index, so a fleet
-  /// operator knows which artifact to re-fetch or delete.
-  std::string source;
-};
-
-/// Temp + rename, same record checksums as the cache shards. False (with
-/// a message on stderr) on I/O failure.
-bool save_shard_table(const std::string& path, const ShardTable& table);
-/// False + *error on malformed/corrupt files.
-bool load_shard_table(const std::string& path, ShardTable* out,
-                      std::string* error);
-/// Reassembles the full result vector. nullopt + *error unless the tables
-/// agree on (grid_size, shard_count) and cover every index exactly once.
-std::optional<std::vector<RunResult>> merge_shard_tables(
-    const std::vector<ShardTable>& tables, std::string* error);
 
 }  // namespace cuttlefish::exp

@@ -1,7 +1,7 @@
 #include "exp/supervisor.hpp"
 
-#include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -12,12 +12,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
-#include <tuple>
 
 #include "common/log.hpp"
 #include "exp/blob.hpp"
+#include "exp/record_file.hpp"
 #include "exp/result_cache.hpp"
 
 namespace fs = std::filesystem;
@@ -26,230 +25,25 @@ namespace cuttlefish::exp {
 
 namespace {
 
-constexpr uint32_t kJournalMagic = 0x43464a4eu;        // "CFJN"
-constexpr uint32_t kJournalVersion = 1;
-constexpr uint32_t kJournalRecordMagic = 0x43464a52u;  // "CFJR"
-constexpr uint32_t kManifestMagic = 0x4346514du;       // "CFQM"
-constexpr uint32_t kManifestVersion = 1;
-
-/// Journal header: magic, version, grid digest, grid size, checksum over
-/// everything before the checksum.
-constexpr size_t kJournalHeaderBytes = 4 + 4 + 16 + 8 + 8;
-/// Fixed part of a journal record after its magic: spec, attempt, len.
-constexpr size_t kJournalRecordHeader = 8 + 4 + 4;
+constexpr uint32_t kManifestMagic = 0x4346514du;  // "CFQM"
+/// v2: the manifest carries the grid pin (digest + size).
+constexpr uint32_t kManifestVersion = 2;
+constexpr uint32_t kHandoffMagic = 0x43465748u;  // "CFWH"
+constexpr uint32_t kHandoffVersion = 1;
+/// Bytes of one encoded QuarantineRow.
+constexpr size_t kManifestRowBytes = 8 + 4 + 1 + 4 + 4;
 
 /// Exit code of a worker whose co-simulation succeeded but whose result
 /// file could not be written (distinguishable from the crash-hook's 41).
 constexpr int kWorkerWriteFailure = 42;
-
-uint64_t checksum64(const void* data, size_t size) {
-  return digest_bytes(data, size).lo;
-}
+/// Exit code of a worker whose supervisor died before it could arm the
+/// parent-death signal.
+constexpr int kWorkerOrphaned = 43;
 
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return false;
-  *out = std::move(data);
-  return true;
-}
-
-/// Same temp + rename discipline as the result cache: the destination
-/// either keeps its old content or atomically gains the complete new one.
-bool write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp =
-      path + ".tmp-" + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      CF_LOG_ERROR("supervisor: cannot open %s for writing", tmp.c_str());
-      return false;
-    }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out.good()) {
-      CF_LOG_ERROR("supervisor: short write to %s", tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    CF_LOG_ERROR("supervisor: rename %s -> %s failed: %s", tmp.c_str(),
-                 path.c_str(), ec.message().c_str());
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
-
-// ---- journal -----------------------------------------------------------
-
-std::string encode_journal_header(const SpecDigest& grid,
-                                  uint64_t grid_size) {
-  BlobWriter w;
-  w.u32(kJournalMagic);
-  w.u32(kJournalVersion);
-  w.u64(grid.hi);
-  w.u64(grid.lo);
-  w.u64(grid_size);
-  w.u64(checksum64(w.data().data(), w.size()));
-  return w.take();
-}
-
-struct JournalScan {
-  bool present = false;
-  bool valid = false;  // header parsed and checksummed
-  std::string error;
-  SpecDigest grid = {0, 0};
-  uint64_t grid_size = 0;
-  uint64_t good_bytes = 0;  // scan stop offset (truncate point on resume)
-  uint64_t dropped_bytes = 0;
-  std::vector<std::tuple<uint64_t, uint32_t, std::string>> records;
-};
-
-/// Scan stops at the first bad record: a torn appended tail costs its
-/// records (they re-run), never a wrong result.
-JournalScan scan_journal(const std::string& path) {
-  JournalScan scan;
-  std::string data;
-  if (!read_file(path, &data)) return scan;
-  scan.present = true;
-  if (data.size() < kJournalHeaderBytes) {
-    scan.error = path + " is truncated";
-    return scan;
-  }
-  BlobReader h(data.data(), kJournalHeaderBytes);
-  if (h.u32() != kJournalMagic) {
-    scan.error = path + " is not a sweep journal (bad magic)";
-    return scan;
-  }
-  if (h.u32() != kJournalVersion) {
-    scan.error = path + " has an unsupported journal version";
-    return scan;
-  }
-  scan.grid.hi = h.u64();
-  scan.grid.lo = h.u64();
-  scan.grid_size = h.u64();
-  if (h.u64() != checksum64(data.data(), kJournalHeaderBytes - 8)) {
-    scan.error = path + " failed its header checksum (torn or corrupt)";
-    return scan;
-  }
-  scan.valid = true;
-  size_t off = kJournalHeaderBytes;
-  while (off < data.size()) {
-    if (data.size() - off < 4 + kJournalRecordHeader + 8) break;
-    BlobReader r(data.data() + off, data.size() - off);
-    if (r.u32() != kJournalRecordMagic) break;
-    const uint64_t spec = r.u64();
-    const uint32_t attempt = r.u32();
-    const uint32_t len = r.u32();
-    const char* bytes = r.span(len);
-    if (bytes == nullptr) break;
-    const uint64_t stored = r.u64();
-    if (!r.ok()) break;
-    if (checksum64(data.data() + off + 4, kJournalRecordHeader + len) !=
-        stored) {
-      break;
-    }
-    scan.records.emplace_back(spec, attempt, std::string(bytes, len));
-    off += 4 + kJournalRecordHeader + len + 8;
-  }
-  scan.good_bytes = off;
-  scan.dropped_bytes = data.size() - off;
-  return scan;
-}
-
-std::string encode_journal_record(uint64_t spec, uint32_t attempt,
-                                  const std::string& result_bytes) {
-  BlobWriter body;
-  body.u64(spec);
-  body.u32(attempt);
-  body.u32(static_cast<uint32_t>(result_bytes.size()));
-  body.bytes(result_bytes.data(), result_bytes.size());
-  BlobWriter rec;
-  rec.u32(kJournalRecordMagic);
-  rec.bytes(body.data().data(), body.size());
-  rec.u64(checksum64(body.data().data(), body.size()));
-  return rec.take();
-}
-
-// ---- quarantine manifest -----------------------------------------------
-
-std::string encode_manifest(const SpecDigest& grid,
-                            const std::vector<QuarantineRow>& rows) {
-  BlobWriter body;
-  body.u32(kManifestVersion);
-  body.u64(grid.hi);
-  body.u64(grid.lo);
-  body.u64(rows.size());
-  for (const QuarantineRow& row : rows) {
-    body.u64(row.spec_index);
-    body.u32(row.attempts);
-    body.u8(row.timed_out ? 1 : 0);
-    body.i32(row.exit_status);
-    body.i32(row.term_signal);
-  }
-  BlobWriter file;
-  file.u32(kManifestMagic);
-  file.bytes(body.data().data(), body.size());
-  file.u64(checksum64(body.data().data(), body.size()));
-  return file.take();
-}
-
-bool decode_manifest(const std::string& data, SpecDigest* grid,
-                     std::vector<QuarantineRow>* rows, std::string* error) {
-  if (data.size() < 12) {
-    *error = "manifest is truncated";
-    return false;
-  }
-  BlobReader magic_reader(data.data(), 4);
-  if (magic_reader.u32() != kManifestMagic) {
-    *error = "manifest has a bad magic";
-    return false;
-  }
-  const size_t body_len = data.size() - 12;
-  uint64_t stored = 0;
-  std::memcpy(&stored, data.data() + 4 + body_len, 8);
-  if (checksum64(data.data() + 4, body_len) != stored) {
-    *error = "manifest failed its checksum (torn or corrupt)";
-    return false;
-  }
-  BlobReader r(data.data() + 4, body_len);
-  if (r.u32() != kManifestVersion) {
-    *error = "manifest has an unsupported version";
-    return false;
-  }
-  grid->hi = r.u64();
-  grid->lo = r.u64();
-  const uint64_t count = r.u64();
-  if (!r.ok() || count > r.remaining() / 21) {
-    *error = "manifest has a malformed header";
-    return false;
-  }
-  rows->clear();
-  rows->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    QuarantineRow row;
-    row.spec_index = r.u64();
-    row.attempts = r.u32();
-    row.timed_out = r.u8() != 0;
-    row.exit_status = r.i32();
-    row.term_signal = r.i32();
-    rows->push_back(row);
-  }
-  if (!r.ok() || r.remaining() != 0) {
-    *error = "manifest has trailing or missing bytes";
-    return false;
-  }
-  return true;
 }
 
 // ---- worker ------------------------------------------------------------
@@ -274,49 +68,51 @@ bool decode_manifest(const std::string& data, SpecDigest* grid,
 
 /// The forked worker: one spec, one result file, _exit. Never returns to
 /// the supervisor's code; _exit skips atexit/stdio so the parent's
-/// buffered output is not replayed.
+/// buffered output is not replayed. The worker dies with its supervisor:
+/// a SIGKILLed supervisor must not leave hung or still-simulating orphans
+/// behind while its successor re-runs their specs.
 [[noreturn]] void worker_main(const SweepGrid& grid, uint64_t spec,
                               uint32_t attempt, const CrashSpec& crash,
-                              const std::string& result_path) {
+                              const std::string& result_path,
+                              pid_t supervisor) {
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != supervisor) ::_exit(kWorkerOrphaned);
   if (crash.enabled() &&
       crash.spec_index == static_cast<int64_t>(spec) &&
       (crash.times < 0 || static_cast<int>(attempt) < crash.times)) {
     crash_now(crash.mode);
   }
-  const RunResult result = run_spec(grid.specs()[spec]);
-  std::string bytes = encode_result(result);
-  const uint64_t sum = checksum64(bytes.data(), bytes.size());
-  bytes.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
-  const int fd =
-      ::open(result_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) ::_exit(kWorkerWriteFailure);
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n <= 0) {
-      ::close(fd);
-      ::_exit(kWorkerWriteFailure);
-    }
-    written += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  ::_exit(0);
+  const bool written = write_file_atomic(
+      result_path, encode_handoff(run_spec(grid.specs()[spec])));
+  ::_exit(written ? 0 : kWorkerWriteFailure);
 }
 
-/// Parent-side read of a worker's result file: trailing checksum and a
+/// Parent-side read of a worker's result file: the record frame and a
 /// full decode must both pass, or the attempt counts as a failure.
-bool read_worker_result(const std::string& path, std::string* out_bytes) {
-  std::string data;
-  if (!read_file(path, &data) || data.size() < 8) return false;
-  uint64_t stored = 0;
-  std::memcpy(&stored, data.data() + data.size() - 8, 8);
-  data.resize(data.size() - 8);
-  if (checksum64(data.data(), data.size()) != stored) return false;
-  RunResult probe;
-  if (!decode_result(data.data(), data.size(), &probe)) return false;
-  *out_bytes = std::move(data);
+bool read_worker_result(const std::string& path, RunResult* out,
+                        std::string* bytes) {
+  std::string file;
+  std::string_view view;
+  if (!read_file(path, &file) || !decode_handoff(file, out, &view)) {
+    return false;
+  }
+  *bytes = std::string(view);
   return true;
+}
+
+/// Scratch a killed supervisor leaves behind: worker handoff files and the
+/// record-file primitive's temp files. Nothing reads them.
+void remove_scratch(const std::string& dir) {
+  std::error_code ec;
+  std::vector<fs::path> scratch;
+  for (const auto& e : fs::directory_iterator(dir, ec)) {
+    const std::string name = e.path().filename().string();
+    if (name.rfind("worker-", 0) == 0 ||
+        name.find(".tmp-") != std::string::npos) {
+      scratch.push_back(e.path());
+    }
+  }
+  for (const fs::path& path : scratch) fs::remove(path, ec);
 }
 
 std::string describe_failure(const QuarantineRow& row) {
@@ -333,13 +129,6 @@ std::string describe_failure(const QuarantineRow& row) {
   }
   return buf;
 }
-
-struct FdCloser {
-  int fd = -1;
-  ~FdCloser() {
-    if (fd >= 0) ::close(fd);
-  }
-};
 
 }  // namespace
 
@@ -406,15 +195,81 @@ SpecDigest grid_digest(const SweepGrid& grid) {
   return digest_bytes(w.data().data(), w.size());
 }
 
+// ---- on-disk codecs ---------------------------------------------------
+
+std::string encode_manifest(const SweepManifest& manifest) {
+  BlobWriter w;
+  w.u64(manifest.grid.hi);
+  w.u64(manifest.grid.lo);
+  w.u64(manifest.grid_size);
+  w.u64(manifest.quarantined.size());
+  for (const QuarantineRow& row : manifest.quarantined) {
+    w.u64(row.spec_index);
+    w.u32(row.attempts);
+    w.u8(row.timed_out ? 1 : 0);
+    w.i32(row.exit_status);
+    w.i32(row.term_signal);
+  }
+  std::string file = record_file_header(kManifestMagic, kManifestVersion);
+  append_record(&file, w.data());
+  return file;
+}
+
+bool decode_manifest(std::string_view file, SweepManifest* out) {
+  std::string_view payload;
+  if (!decode_single_record(file, kManifestMagic, kManifestVersion,
+                            &payload)) {
+    return false;
+  }
+  BlobReader r(payload.data(), payload.size());
+  SweepManifest manifest;
+  manifest.grid.hi = r.u64();
+  manifest.grid.lo = r.u64();
+  manifest.grid_size = r.u64();
+  const uint64_t count = r.u64();
+  if (!r.ok() || count != r.remaining() / kManifestRowBytes ||
+      r.remaining() % kManifestRowBytes != 0) {
+    return false;
+  }
+  manifest.quarantined.resize(count);
+  for (QuarantineRow& row : manifest.quarantined) {
+    row.spec_index = r.u64();
+    row.attempts = r.u32();
+    row.timed_out = r.u8() != 0;
+    row.exit_status = r.i32();
+    row.term_signal = r.i32();
+  }
+  *out = std::move(manifest);
+  return true;
+}
+
+std::string encode_handoff(const RunResult& result) {
+  std::string file = record_file_header(kHandoffMagic, kHandoffVersion);
+  append_record(&file, encode_result(result));
+  return file;
+}
+
+bool decode_handoff(std::string_view file, RunResult* out,
+                    std::string_view* bytes) {
+  std::string_view payload;
+  if (!decode_single_record(file, kHandoffMagic, kHandoffVersion,
+                            &payload) ||
+      !decode_result(payload.data(), payload.size(), out)) {
+    return false;
+  }
+  *bytes = payload;
+  return true;
+}
+
 // ---- supervisor --------------------------------------------------------
 
-SweepSupervisor::SweepSupervisor(const SweepGrid& grid,
-                                 std::string journal_dir,
+SweepSupervisor::SweepSupervisor(const SweepGrid& grid, std::string dir,
                                  SupervisorOptions options)
-    : grid_(&grid), dir_(std::move(journal_dir)), options_(options) {}
+    : grid_(&grid), dir_(std::move(dir)), options_(options) {}
 
 std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
   SupervisorReport report;
+  const std::vector<RunSpec>& specs = grid_->specs();
   const uint64_t n = grid_->size();
   std::vector<RunResult> results(n);
   const auto finish = [&](bool ok) {
@@ -433,10 +288,9 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {
-    return fail("cannot create journal dir " + dir_ + ": " + ec.message());
+    return fail("cannot create sweep dir " + dir_ + ": " + ec.message());
   }
   const SpecDigest digest = grid_digest(*grid_);
-  const std::string journal_path = dir_ + "/" + kJournalFileName;
   const std::string manifest_path = dir_ + "/" + kQuarantineFileName;
 
   // The deterministic self-kill hook: explicit options win, otherwise
@@ -452,102 +306,68 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
     }
   }
 
+  // ---- the grid pin: adopt the manifest or refuse a different grid -----
+  SweepManifest manifest;
+  {
+    std::string data;
+    if (read_file(manifest_path, &data)) {
+      if (!decode_manifest(data, &manifest)) {
+        // The store is content-addressed, so re-pinning cannot serve a
+        // wrong result; it only forgets the poison rows.
+        CF_LOG_WARN("supervisor: ignoring %s (torn or corrupt); quarantined "
+                    "specs will be re-attempted",
+                    manifest_path.c_str());
+        manifest = SweepManifest{};
+      } else if (manifest.grid != digest || manifest.grid_size != n) {
+        return fail(manifest_path + " was written by a different grid (" +
+                    std::to_string(manifest.grid_size) + " specs, digest " +
+                    manifest.grid.hex() + "; this grid: " +
+                    std::to_string(n) + " specs, digest " + digest.hex() +
+                    ") — resume with the original flags or pick a fresh "
+                    "sweep dir");
+      }
+    }
+  }
+  manifest.grid = digest;
+  manifest.grid_size = n;
+  remove_scratch(dir_);
+  if (!write_file_atomic(manifest_path, encode_manifest(manifest))) {
+    return fail("cannot write " + manifest_path);
+  }
+
   enum class SpecState : uint8_t { kPending, kRunning, kDone, kQuarantined };
   std::vector<SpecState> state(n, SpecState::kPending);
   std::vector<uint32_t> attempts(n, 0);
 
-  // ---- resume: replay the journal, adopt the manifest ------------------
-  const JournalScan scan = scan_journal(journal_path);
-  if (scan.present) {
-    if (!scan.valid) return fail(scan.error);
-    if (scan.grid != digest || scan.grid_size != n) {
-      return fail(journal_path + " was written by a different grid (" +
-                  std::to_string(scan.grid_size) + " specs, digest " +
-                  scan.grid.hex() + "; this grid: " + std::to_string(n) +
-                  " specs, digest " + digest.hex() +
-                  ") — resume with the original flags or pick a fresh "
-                  "journal dir");
-    }
-    if (scan.dropped_bytes > 0) {
-      CF_LOG_WARN("supervisor: dropping %llu torn byte(s) from the tail "
-                  "of %s (the affected specs re-run)",
-                  static_cast<unsigned long long>(scan.dropped_bytes),
-                  journal_path.c_str());
-      fs::resize_file(journal_path, scan.good_bytes, ec);
-      if (ec) {
-        return fail("cannot truncate the torn journal tail of " +
-                    journal_path + ": " + ec.message());
-      }
-    }
-    for (const auto& [spec, attempt, bytes] : scan.records) {
-      if (spec >= n || state[spec] == SpecState::kDone) continue;
-      RunResult decoded;
-      if (!decode_result(bytes.data(), bytes.size(), &decoded)) continue;
-      results[spec] = std::move(decoded);
-      state[spec] = SpecState::kDone;
-      attempts[spec] = attempt + 1;
+  // ---- resume: a cached re-run where every stored spec hits ------------
+  // Fault-injected specs are never looked up or persisted: the schedule
+  // is not part of the digest identity (the same rule as run_sweep's
+  // cache path).
+  ResultCache store(dir_);
+  const std::string log = digest.hex().substr(0, 16);
+  std::vector<SpecDigest> digests(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    if (specs[i].options.faults != nullptr) continue;
+    digests[i] = digest_spec(specs[i]);
+    if (store.lookup(digests[i], &results[i])) {
+      state[i] = SpecState::kDone;
       ++report.resumed;
     }
-  } else {
-    if (!write_file_atomic(journal_path,
-                           encode_journal_header(digest, n))) {
-      return fail("cannot create " + journal_path);
-    }
   }
+  std::vector<QuarantineRow> adopted;
+  for (const QuarantineRow& row : manifest.quarantined) {
+    if (row.spec_index >= n || state[row.spec_index] != SpecState::kPending) {
+      continue;
+    }
+    state[row.spec_index] = SpecState::kQuarantined;
+    adopted.push_back(row);
+  }
+  manifest.quarantined = std::move(adopted);
 
-  std::vector<QuarantineRow> quarantine_rows;
-  {
-    std::string data;
-    if (read_file(manifest_path, &data)) {
-      SpecDigest manifest_grid;
-      std::vector<QuarantineRow> rows;
-      std::string manifest_error;
-      if (!decode_manifest(data, &manifest_grid, &rows, &manifest_error)) {
-        CF_LOG_WARN("supervisor: ignoring %s (%s); quarantined specs will "
-                    "be re-attempted",
-                    manifest_path.c_str(), manifest_error.c_str());
-      } else if (manifest_grid != digest) {
-        CF_LOG_WARN("supervisor: ignoring %s (written by a different "
-                    "grid)", manifest_path.c_str());
-      } else {
-        for (const QuarantineRow& row : rows) {
-          if (row.spec_index >= n ||
-              state[row.spec_index] != SpecState::kPending) {
-            continue;
-          }
-          state[row.spec_index] = SpecState::kQuarantined;
-          quarantine_rows.push_back(row);
-        }
-      }
-    }
-  }
-
-  FdCloser journal{::open(journal_path.c_str(), O_WRONLY | O_APPEND)};
-  if (journal.fd < 0) {
-    return fail("cannot append to " + journal_path + ": " +
-                std::strerror(errno));
-  }
-  const auto journal_append = [&](uint64_t spec, uint32_t attempt,
-                                  const std::string& bytes) {
-    const std::string rec = encode_journal_record(spec, attempt, bytes);
-    size_t written = 0;
-    while (written < rec.size()) {
-      const ssize_t w = ::write(journal.fd, rec.data() + written,
-                                rec.size() - written);
-      if (w <= 0) {
-        // The result is still in memory; only resumability degrades.
-        CF_LOG_ERROR("supervisor: journal append failed: %s",
-                     std::strerror(errno));
-        return;
-      }
-      written += static_cast<size_t>(w);
-    }
-  };
   const auto quarantine = [&](const QuarantineRow& row) {
     state[row.spec_index] = SpecState::kQuarantined;
-    quarantine_rows.push_back(row);
-    if (!write_file_atomic(manifest_path,
-                           encode_manifest(digest, quarantine_rows))) {
+    manifest.quarantined.push_back(row);
+    if (!write_file_atomic(manifest_path, encode_manifest(manifest))) {
       CF_LOG_ERROR("supervisor: cannot write %s", manifest_path.c_str());
     }
   };
@@ -563,6 +383,7 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
   };
   std::vector<Active> active;
   std::vector<double> ready_at(n, 0.0);
+  const pid_t supervisor = ::getpid();
   const double t0 = now_s();
   const double total_deadline =
       options_.total_timeout_s > 0 ? t0 + options_.total_timeout_s : 0.0;
@@ -576,7 +397,7 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
   while (pending > 0 || !active.empty()) {
     double now = now_s();
 
-    // Whole-run (per-shard) budget: kill everything, keep the journal,
+    // Whole-run (per-shard) budget: kill everything, keep the store,
     // report what is left — a resume continues from here.
     if (total_deadline > 0 && now >= total_deadline) {
       for (const Active& a : active) ::kill(a.pid, SIGKILL);
@@ -593,10 +414,10 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
         }
       }
       CF_LOG_WARN("supervisor: whole-run budget of %.1fs exhausted with "
-                  "%zu spec(s) unfinished (journal kept; resume to "
+                  "%zu spec(s) unfinished (store kept; resume to "
                   "continue)",
                   options_.total_timeout_s, report.unfinished.size());
-      report.quarantined = quarantine_rows;
+      report.quarantined = manifest.quarantined;
       return finish(false);
     }
 
@@ -618,7 +439,9 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
         ready_at[i] = now + 0.1;
         continue;
       }
-      if (a.pid == 0) worker_main(*grid_, i, a.attempt, crash, a.result_path);
+      if (a.pid == 0) {
+        worker_main(*grid_, i, a.attempt, crash, a.result_path, supervisor);
+      }
       a.deadline =
           options_.spec_timeout_s > 0 ? now + options_.spec_timeout_s : 0.0;
       state[i] = SpecState::kRunning;
@@ -653,18 +476,21 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
       }
       progressed = true;
       std::string bytes;
-      const bool ok = r == a.pid && WIFEXITED(status) &&
-                      WEXITSTATUS(status) == 0 &&
-                      read_worker_result(a.result_path, &bytes);
+      const bool ok =
+          r == a.pid && WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
+          read_worker_result(a.result_path, &results[a.spec], &bytes);
       fs::remove(a.result_path, ec);
       attempts[a.spec] = a.attempt + 1;
       if (ok) {
-        RunResult decoded;
-        decode_result(bytes.data(), bytes.size(), &decoded);
-        results[a.spec] = std::move(decoded);
         state[a.spec] = SpecState::kDone;
         ++report.executed;
-        journal_append(a.spec, a.attempt, bytes);
+        // A failed append (logged) costs only resumability: the result
+        // is already in the table.
+        if (specs[a.spec].options.faults == nullptr) {
+          store.append(log, ResultCache::Insert{digests[a.spec],
+                                                encode_spec(specs[a.spec]),
+                                                std::move(bytes)});
+        }
       } else {
         QuarantineRow row;
         row.spec_index = a.spec;
@@ -706,40 +532,21 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
     }
   }
 
-  report.quarantined = quarantine_rows;
+  report.quarantined = manifest.quarantined;
   return finish(true);
 }
 
 // ---- offline status ----------------------------------------------------
 
-JournalStatus read_journal_status(const std::string& dir) {
-  JournalStatus status;
-  const JournalScan scan = scan_journal(dir + "/" + kJournalFileName);
-  status.journal_present = scan.present;
-  status.valid = scan.valid;
-  status.error = scan.error;
-  status.grid = scan.grid;
-  status.grid_size = scan.grid_size;
-  status.dropped_bytes = scan.dropped_bytes;
-  if (scan.valid) {
-    std::vector<uint8_t> seen(scan.grid_size, 0);
-    for (const auto& [spec, attempt, bytes] : scan.records) {
-      if (spec >= scan.grid_size || seen[spec]) continue;
-      seen[spec] = 1;
-      ++status.done;
-      if (attempt > 0) ++status.retried;
-    }
-  }
+SweepStatus read_sweep_status(const std::string& dir) {
+  SweepStatus status;
   std::string data;
-  if (read_file(dir + "/" + std::string(kQuarantineFileName), &data)) {
-    SpecDigest manifest_grid;
-    std::vector<QuarantineRow> rows;
-    std::string manifest_error;
-    if (decode_manifest(data, &manifest_grid, &rows, &manifest_error) &&
-        (!scan.valid || manifest_grid == scan.grid)) {
-      status.quarantined = std::move(rows);
-    }
-  }
+  if (!read_file(dir + "/" + kQuarantineFileName, &data)) return status;
+  status.manifest_present = true;
+  status.valid = decode_manifest(data, &status.manifest);
+  const ResultCache::Stats stats = ResultCache(dir).stats();
+  status.stored = stats.entries;
+  status.skipped_records = stats.skipped_records;
   return status;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/spec_digest.hpp"
@@ -18,13 +19,13 @@
 /// work with exponential backoff, and quarantines poison specs: a spec
 /// that kills its worker `max_attempts` times is skipped, recorded in a
 /// checksummed quarantine manifest with its exit status/signal, and the
-/// sweep completes without it. Progress is journaled through an
-/// append-only checksummed run journal (same temp+rename and
-/// scan-stop-at-first-bad-record discipline as the result cache), so a
-/// supervisor that is itself SIGKILLed mid-run resumes by re-running only
-/// the unfinished specs — and, because journaled results are the workers'
-/// own encode_result bytes, the finished table is bit-identical to an
-/// uninterrupted single-process run.
+/// sweep completes without it. Every accepted result is appended to a
+/// ResultCache store in the supervisor's directory, keyed by spec digest
+/// and holding the worker's own encode_result bytes. A supervisor that is
+/// itself SIGKILLed mid-run resumes as a cached re-run — every stored spec
+/// hits, only the unfinished ones fork — and the finished table is
+/// bit-identical to an uninterrupted single-process run. The directory is
+/// an ordinary cache store (`cuttlefishctl cache stats|verify` work on it).
 ///
 /// Failure testing is deterministic: CUTTLEFISH_CRASH_AT=<spec>:<mode>
 /// (modes abort | kill | hang | exit, optional :N = first N attempts
@@ -32,8 +33,7 @@
 /// op-indexed FaultSchedule of the in-process fault layer.
 namespace cuttlefish::exp {
 
-/// Journal / manifest filenames inside the journal directory.
-inline constexpr const char* kJournalFileName = "journal.bin";
+/// The grid pin + quarantine manifest inside the supervisor's directory.
 inline constexpr const char* kQuarantineFileName = "quarantine.manifest";
 
 /// How a worker kills itself under the CUTTLEFISH_CRASH_AT hook.
@@ -72,9 +72,8 @@ struct SupervisorOptions {
   /// the attempt counts as a timeout failure. <= 0 disables.
   double spec_timeout_s = 300.0;
   /// Whole-run (per-shard) wall-clock budget: on overrun every active
-  /// worker is SIGKILLed and the run returns incomplete — the journal
-  /// keeps what finished, so a later resume picks up the rest. <= 0
-  /// disables.
+  /// worker is SIGKILLed and the run returns incomplete — the store keeps
+  /// what finished, so a later resume picks up the rest. <= 0 disables.
   double total_timeout_s = 0.0;
   /// Exponential retry backoff: attempt k waits base * 2^(k-1), capped.
   double backoff_base_s = 0.05;
@@ -98,7 +97,7 @@ struct SupervisorReport {
   /// a sweep that completed *around* poison is still complete).
   bool completed = false;
   std::string error;   // non-empty when the run could not start at all
-  size_t resumed = 0;  // specs served from the journal of a prior run
+  size_t resumed = 0;  // specs served from the store of a prior run
   size_t executed = 0; // specs a worker finished this invocation
   size_t retries = 0;  // failed attempts that were retried
   std::vector<QuarantineRow> quarantined;
@@ -106,26 +105,45 @@ struct SupervisorReport {
   std::vector<uint64_t> unfinished;
 };
 
-/// Identity of a grid for journal/resume matching: digest over every
-/// spec's canonical encode_spec bytes (spec_digest.hpp), so a journal is
-/// only ever replayed into the exact grid that wrote it.
+/// Identity of a grid for resume matching: digest over every spec's
+/// canonical encode_spec bytes (spec_digest.hpp), so a directory is only
+/// ever resumed by the exact grid that started it.
 SpecDigest grid_digest(const SweepGrid& grid);
+
+/// `<dir>/quarantine.manifest`, a single-record file
+/// (exp/record_file.hpp) rewritten temp + rename: the grid pin plus one row
+/// per poisoned spec.
+struct SweepManifest {
+  SpecDigest grid = {0, 0};
+  uint64_t grid_size = 0;
+  std::vector<QuarantineRow> quarantined;
+};
+
+std::string encode_manifest(const SweepManifest& manifest);
+/// False on anything but a well-formed manifest file.
+bool decode_manifest(std::string_view file, SweepManifest* out);
+
+/// The worker handoff file: one record holding the worker's encode_result
+/// bytes. Decoding checks the frame and fully decodes the result; on
+/// success `*bytes` views the result bytes inside `file`.
+std::string encode_handoff(const RunResult& result);
+bool decode_handoff(std::string_view file, RunResult* out,
+                    std::string_view* bytes);
 
 class SweepSupervisor {
  public:
-  /// The grid must outlive the supervisor. `journal_dir` is created if
-  /// missing; an existing journal for the same grid is resumed, one for a
+  /// The grid must outlive the supervisor. `dir` is created if missing; a
+  /// directory pinned to the same grid is resumed, one pinned to a
   /// different grid is refused.
-  SweepSupervisor(const SweepGrid& grid, std::string journal_dir,
+  SweepSupervisor(const SweepGrid& grid, std::string dir,
                   SupervisorOptions options = {});
 
   /// Run (or resume) the sweep. Results are indexed like grid.specs();
   /// quarantined / unfinished cells are default-constructed. On a
-  /// journal-identity error the vector is empty and report->error says
-  /// why.
+  /// grid-identity error the vector is empty and report->error says why.
   std::vector<RunResult> run(SupervisorReport* report = nullptr);
 
-  const std::string& journal_dir() const { return dir_; }
+  const std::string& dir() const { return dir_; }
 
  private:
   const SweepGrid* grid_;
@@ -133,21 +151,17 @@ class SweepSupervisor {
   SupervisorOptions options_;
 };
 
-/// Offline journal inspection for `cuttlefishctl sweep status`: header
-/// identity, completed-spec count and the quarantine manifest, without
+/// Offline inspection for `cuttlefishctl sweep status`: the manifest's
+/// grid pin and quarantine rows plus the store's entry count, without
 /// needing the grid.
-struct JournalStatus {
-  bool journal_present = false;
-  bool valid = false;  // header parsed and checksummed records scanned
-  std::string error;
-  SpecDigest grid = {0, 0};
-  uint64_t grid_size = 0;
-  uint64_t done = 0;           // distinct specs with a journaled result
-  uint64_t retried = 0;        // of those, finished on attempt > 0
-  uint64_t dropped_bytes = 0;  // torn tail rejected by the scan
-  std::vector<QuarantineRow> quarantined;
+struct SweepStatus {
+  bool manifest_present = false;
+  bool valid = false;  // the manifest decoded
+  SweepManifest manifest;
+  uint64_t stored = 0;           // results in the directory's store
+  uint64_t skipped_records = 0;  // torn or corrupt records the scan dropped
 };
 
-JournalStatus read_journal_status(const std::string& dir);
+SweepStatus read_sweep_status(const std::string& dir);
 
 }  // namespace cuttlefish::exp

@@ -111,6 +111,28 @@ RunResult run_spec(const RunSpec& spec) {
                   build_calibrated(*spec.model, *spec.machine, spec.seed));
 }
 
+std::vector<uint64_t> merge_stores(const SweepGrid& grid,
+                                   const std::vector<ResultCache*>& stores,
+                                   std::vector<RunResult>* results) {
+  results->assign(grid.size(), RunResult{});
+  std::vector<uint64_t> missing;
+  for (uint64_t i = 0; i < grid.size(); ++i) {
+    const RunSpec& spec = grid.specs()[i];
+    bool hit = false;
+    if (spec.options.faults == nullptr) {
+      const SpecDigest digest = digest_spec(spec);
+      for (ResultCache* store : stores) {
+        if (store->lookup(digest, &(*results)[i])) {
+          hit = true;
+          break;
+        }
+      }
+    }
+    if (!hit) missing.push_back(i);
+  }
+  return missing;
+}
+
 void sweep_ordered(int64_t n, const std::function<void(int64_t)>& fn,
                    runtime::TaskScheduler* scheduler) {
   if (n <= 0) return;
@@ -222,9 +244,9 @@ void run_indices(const SweepGrid& grid, const std::vector<uint64_t>& indices,
     std::vector<ResultCache::Insert> batch;
     batch.reserve(persistable.size());
     for (size_t i = 0; i < persistable.size(); ++i) {
-      batch.push_back(ResultCache::Insert{miss_digests[i],
-                                          std::move(miss_blobs[i]),
-                                          &(*results)[persistable[i]]});
+      batch.push_back(ResultCache::Insert{
+          miss_digests[i], std::move(miss_blobs[i]),
+          encode_result((*results)[persistable[i]])});
     }
     cache->insert_batch(batch);
   }

@@ -144,14 +144,23 @@ inline bool shard_owns(uint64_t index, int shard_index, int shard_count) {
 }
 
 /// Run only the specs shard `shard_index` of `shard_count` owns, returning
-/// (spec index, result) rows ready for a ShardTable
-/// (exp/result_cache.hpp). N processes running the N shards of one grid —
-/// with or without a shared cache — merge byte-identically to the
-/// single-process table.
+/// (spec index, result) rows. With a cache, the owned cells land in its
+/// store (exp/result_cache.hpp): N processes running the N shards of one
+/// grid fill stores that, looked up together, reassemble the
+/// single-process table byte-identically.
 std::vector<std::pair<uint64_t, RunResult>> run_sweep_shard(
     const SweepGrid& grid, int shard_index, int shard_count,
     runtime::TaskScheduler* scheduler = nullptr, ResultCache* cache = nullptr,
     SweepRunStats* stats = nullptr);
+
+/// The `--merge` side of the shard protocol: fills `results` (indexed like
+/// grid.specs()) by digest lookup across `stores`, first hit wins, and
+/// returns the spec indices no store holds. The table is complete iff the
+/// list is empty. Fault-injected specs are never stored, so they always
+/// count as missing.
+std::vector<uint64_t> merge_stores(const SweepGrid& grid,
+                                   const std::vector<ResultCache*>& stores,
+                                   std::vector<RunResult>* results);
 
 /// Ordered parallel map for analytic (non co-simulation) sweeps: runs
 /// fn(0..n) with results keyed by index, serial when scheduler is null.

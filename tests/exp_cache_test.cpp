@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 
 #include "exp/spec_digest.hpp"
@@ -454,171 +456,185 @@ TEST(exp_cache, EntryViewExposesSpecAndResult) {
   EXPECT_FALSE(cache.entry(cache.size(), &out_of_range));
 }
 
-// ---- shard tables ------------------------------------------------------
+// ---- record framing ----------------------------------------------------
 
-TEST(exp_cache, ShardMergeIsByteIdenticalForSeveralPartitions) {
+TEST(exp_cache, AppendLogTruncatesATornTailBeforeAppending) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const SweepGrid grid = make_grid(machine, 1);
+  const auto serial = run_sweep(grid, nullptr);
+  const auto insert = [&](size_t i) {
+    return ResultCache::Insert{digest_spec(grid.specs()[i]),
+                               encode_spec(grid.specs()[i]),
+                               encode_result(serial[i])};
+  };
+  TempStore store("append");
+  {
+    ResultCache cache(store.path());
+    ASSERT_TRUE(cache.append("t", insert(0)));
+    ASSERT_TRUE(cache.append("t", insert(1)));
+    EXPECT_TRUE(cache.append("t", insert(1)));  // already held: no-op
+  }
+  const fs::path log = store.dir() / "shard-log-t.bin";
+  const auto intact = fs::file_size(log);
+  {
+    // A torn append of a record larger than the next one: overwriting in
+    // place would leave garbage behind the new record.
+    std::ofstream f(log, std::ios::binary | std::ios::app);
+    const std::string torn(4096, 'x');
+    f.write(torn.data(), static_cast<std::streamsize>(torn.size()));
+  }
+  {
+    ResultCache cache(store.path());
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.stats().skipped_records, 1u);
+    ASSERT_TRUE(cache.append("t", insert(2)));
+  }
+  // The tear is gone and the new record sits right after the old ones.
+  ResultCache cache(store.path());
+  EXPECT_EQ(cache.stats().skipped_records, 0u);
+  ASSERT_EQ(cache.size(), 3u);
+  EXPECT_GT(fs::file_size(log), intact);
+  for (size_t i = 0; i < 3; ++i) {
+    RunResult got;
+    ASSERT_TRUE(cache.lookup(digest_spec(grid.specs()[i]), &got)) << i;
+    EXPECT_TRUE(same_result_bytes(got, serial[i])) << i;
+  }
+}
+
+TEST(exp_cache, ForeignVersionShardIsSkippedNotMisread) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const SweepGrid grid = make_grid(machine, 1);
+  TempStore store("foreign");
+  {
+    ResultCache cache(store.path());
+    run_sweep(grid, nullptr, &cache, nullptr);
+  }
+  // Rewrite the shard's version field: a store from another format
+  // generation must cost re-simulation, never a misparse.
+  const auto shards = store.shards();
+  ASSERT_EQ(shards.size(), 1u);
+  {
+    std::fstream f(shards[0], std::ios::in | std::ios::out | std::ios::binary);
+    const uint32_t v1 = 1;
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
+  }
+  ResultCache cache(store.path());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().skipped_records, 1u);
+  SweepRunStats stats;
+  const auto healed = run_sweep(grid, nullptr, &cache, &stats);
+  EXPECT_EQ(stats.cache_misses, grid.size());
+  EXPECT_TRUE(tables_identical(run_sweep(grid, nullptr), healed));
+}
+
+// ---- shard stores and merges -------------------------------------------
+
+/// Runs shard i of n into its own store under `root`; returns its path.
+std::string run_shard_store(const SweepGrid& grid, const fs::path& root,
+                            int i, int n) {
+  const fs::path dir = root / ("s" + std::to_string(i) + "of" +
+                               std::to_string(n));
+  ResultCache cache(dir.string());
+  run_sweep_shard(grid, i, n, nullptr, &cache, nullptr);
+  return dir.string();
+}
+
+TEST(exp_cache, ShardStoresMergeByteIdenticallyForSeveralPartitions) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 3);
   const auto serial = run_sweep(grid, nullptr);
+  TempStore root("merge");
 
   for (const int n : {1, 2, 3, 5}) {
-    std::vector<ShardTable> tables;
+    // Every store is reopened from disk, as a merge on another host does.
+    std::vector<std::unique_ptr<ResultCache>> stores;
+    std::vector<ResultCache*> views;
+    const fs::path copied = root.dir() / ("copied" + std::to_string(n));
+    fs::create_directories(copied);
     size_t covered = 0;
     for (int i = 0; i < n; ++i) {
-      ShardTable t;
-      t.grid_size = grid.size();
-      t.shard_index = i;
-      t.shard_count = n;
-      t.rows = run_sweep_shard(grid, i, n);
-      covered += t.rows.size();
-      tables.push_back(std::move(t));
+      const std::string dir = run_shard_store(grid, root.dir(), i, n);
+      stores.push_back(std::make_unique<ResultCache>(dir));
+      views.push_back(stores.back().get());
+      covered += stores.back()->size();
+      for (const auto& e : fs::directory_iterator(dir)) {
+        if (e.path().filename().string().rfind("shard-", 0) == 0) {
+          fs::copy_file(e.path(), copied / e.path().filename());
+        }
+      }
     }
-    EXPECT_EQ(covered, grid.size());
-    std::string error;
-    const auto merged = merge_shard_tables(tables, &error);
-    ASSERT_TRUE(merged.has_value()) << "N=" << n << ": " << error;
-    EXPECT_TRUE(tables_identical(serial, *merged)) << "N=" << n;
+    EXPECT_EQ(covered, grid.size()) << "N=" << n;
+    std::vector<RunResult> merged;
+    EXPECT_TRUE(merge_stores(grid, views, &merged).empty()) << "N=" << n;
+    EXPECT_TRUE(tables_identical(serial, merged)) << "N=" << n;
+
+    // Merging by file copy: the shards of N stores in one directory.
+    ResultCache one(copied.string());
+    EXPECT_TRUE(merge_stores(grid, {&one}, &merged).empty()) << "N=" << n;
+    EXPECT_TRUE(tables_identical(serial, merged)) << "N=" << n;
   }
 }
 
-TEST(exp_cache, ShardTableSurvivesTheFileRoundTrip) {
+TEST(exp_cache, MergeNamesEveryMissingCell) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 2);
   const auto serial = run_sweep(grid, nullptr);
-  TempStore store("table");
-  fs::create_directories(store.dir());
+  TempStore root("mergemiss");
+  ResultCache half0(run_shard_store(grid, root.dir(), 0, 2));
+  ResultCache half1(run_shard_store(grid, root.dir(), 1, 2));
+  ResultCache third1(run_shard_store(grid, root.dir(), 1, 3));
+  std::vector<RunResult> merged;
 
-  std::vector<ShardTable> loaded;
-  for (int i = 0; i < 2; ++i) {
-    ShardTable t;
-    t.grid_size = grid.size();
-    t.shard_index = i;
-    t.shard_count = 2;
-    t.rows = run_sweep_shard(grid, i, 2);
-    const std::string path =
-        (store.dir() / ("s" + std::to_string(i) + ".tbl")).string();
-    ASSERT_TRUE(save_shard_table(path, t));
-    ShardTable back;
-    std::string error;
-    ASSERT_TRUE(load_shard_table(path, &back, &error)) << error;
-    EXPECT_EQ(back.grid_size, t.grid_size);
-    EXPECT_EQ(back.shard_index, i);
-    loaded.push_back(std::move(back));
+  // A missing shard: exactly its cells are named.
+  std::vector<uint64_t> odd;
+  for (uint64_t i = 1; i < grid.size(); i += 2) odd.push_back(i);
+  EXPECT_EQ(merge_stores(grid, {&half0}, &merged), odd);
+
+  // Stores from different partitions: the holes are exactly the cells
+  // neither covers, and every present cell is byte-exact.
+  std::vector<uint64_t> neither;
+  for (uint64_t i = 0; i < grid.size(); ++i) {
+    if (!shard_owns(i, 0, 2) && !shard_owns(i, 1, 3)) neither.push_back(i);
   }
-  std::string error;
-  const auto merged = merge_shard_tables(loaded, &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_TRUE(tables_identical(serial, *merged));
-}
-
-TEST(exp_cache, MergeRejectsBadShardSets) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  const auto make_table = [&](int i, int n) {
-    ShardTable t;
-    t.grid_size = grid.size();
-    t.shard_index = i;
-    t.shard_count = n;
-    t.rows = run_sweep_shard(grid, i, n);
-    return t;
-  };
-  std::string error;
-
-  // Missing shard: coverage is incomplete.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2)}, &error).has_value());
-  EXPECT_FALSE(error.empty());
-
-  // Duplicate shard: an index is covered twice.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2), make_table(0, 2),
-                                   make_table(1, 2)},
-                                  &error)
-                   .has_value());
-
-  // Disagreeing shard_count.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2), make_table(1, 3)},
-                                  &error)
-                   .has_value());
-
-  // A row the shard does not own (partition membership violation).
-  ShardTable bad = make_table(0, 2);
-  ASSERT_FALSE(bad.rows.empty());
-  bad.rows[0].first += 1;  // now an odd index in the even shard
-  EXPECT_FALSE(
-      merge_shard_tables({bad, make_table(1, 2)}, &error).has_value());
-}
-
-TEST(exp_cache, CorruptShardTableFileIsRejected) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  ShardTable t;
-  t.grid_size = grid.size();
-  t.shard_index = 0;
-  t.shard_count = 1;
-  t.rows = run_sweep_shard(grid, 0, 1);
-  TempStore store("badtable");
-  fs::create_directories(store.dir());
-  const std::string path = (store.dir() / "t.tbl").string();
-  ASSERT_TRUE(save_shard_table(path, t));
-
-  // Flip a payload byte: the trailing checksum must catch it.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path)) / 2);
-    char byte = 0x55;
-    f.write(&byte, 1);
+  ASSERT_FALSE(neither.empty());
+  EXPECT_EQ(merge_stores(grid, {&half0, &third1}, &merged), neither);
+  for (uint64_t i = 0; i < grid.size(); ++i) {
+    if (std::find(neither.begin(), neither.end(), i) != neither.end()) {
+      continue;
+    }
+    EXPECT_TRUE(same_result_bytes(merged[i], serial[i])) << i;
   }
-  ShardTable back;
-  std::string error;
-  EXPECT_FALSE(load_shard_table(path, &back, &error));
-  EXPECT_FALSE(error.empty());
 
-  // Truncation too.
-  fs::resize_file(path, fs::file_size(path) / 2);
-  EXPECT_FALSE(load_shard_table(path, &back, &error));
-  EXPECT_FALSE(load_shard_table((store.dir() / "absent.tbl").string(),
-                                &back, &error));
+  // The same store twice (a doubled artifact) is redundant, not an error.
+  EXPECT_TRUE(merge_stores(grid, {&half0, &half0, &half1}, &merged).empty());
+  EXPECT_TRUE(tables_identical(serial, merged));
 }
 
-TEST(exp_cache, MergeDiagnosticsNameTheOffendingFiles) {
+TEST(exp_cache, CorruptStoreCostsOnlyItsCellsInAMerge) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  TempStore store("mergediag");
-  fs::create_directories(store.dir());
-
-  ShardTable t0, t1;
-  t0.grid_size = t1.grid_size = grid.size();
-  t0.shard_count = t1.shard_count = 2;
-  t0.shard_index = 0;
-  t1.shard_index = 1;
-  t0.rows = run_sweep_shard(grid, 0, 2);
-  t1.rows = run_sweep_shard(grid, 1, 2);
-
-  // The same shard saved twice under different names — the fleet-ops
-  // shape of a doubled artifact, where "shard 0 is duplicated" alone
-  // does not say which file to delete.
-  const std::string path_a = (store.dir() / "node-a.tbl").string();
-  const std::string path_b = (store.dir() / "node-b.tbl").string();
-  const std::string path_c = (store.dir() / "node-c.tbl").string();
-  ASSERT_TRUE(save_shard_table(path_a, t0));
-  ASSERT_TRUE(save_shard_table(path_b, t0));
-  ASSERT_TRUE(save_shard_table(path_c, t1));
-
-  std::vector<ShardTable> loaded(3);
-  std::string error;
-  ASSERT_TRUE(load_shard_table(path_a, &loaded[0], &error)) << error;
-  ASSERT_TRUE(load_shard_table(path_b, &loaded[1], &error)) << error;
-  ASSERT_TRUE(load_shard_table(path_c, &loaded[2], &error)) << error;
-  EXPECT_EQ(loaded[0].source, path_a);
-
-  EXPECT_FALSE(merge_shard_tables(loaded, &error).has_value());
-  EXPECT_NE(error.find("node-a.tbl"), std::string::npos) << error;
-  EXPECT_NE(error.find("node-b.tbl"), std::string::npos) << error;
-
-  // Missing shard: the error lists the files that *were* merged, so the
-  // absent artifact is identifiable by elimination.
-  EXPECT_FALSE(
-      merge_shard_tables({loaded[0]}, &error).has_value());
-  EXPECT_NE(error.find("node-a.tbl"), std::string::npos) << error;
+  const SweepGrid grid = make_grid(machine, 2);
+  const auto serial = run_sweep(grid, nullptr);
+  TempStore root("mergecorrupt");
+  const std::string dir0 = run_shard_store(grid, root.dir(), 0, 2);
+  const std::string dir1 = run_shard_store(grid, root.dir(), 1, 2);
+  for (const auto& e : fs::directory_iterator(dir0)) {
+    if (e.path().filename().string().rfind("shard-", 0) != 0) continue;
+    fs::resize_file(e.path(), fs::file_size(e.path()) / 2);
+  }
+  ResultCache s0(dir0), s1(dir1);
+  std::vector<RunResult> merged;
+  const std::vector<uint64_t> missing = merge_stores(grid, {&s0, &s1}, &merged);
+  ASSERT_FALSE(missing.empty());
+  for (uint64_t i = 0; i < grid.size(); ++i) {
+    const bool hole =
+        std::find(missing.begin(), missing.end(), i) != missing.end();
+    if (hole) {
+      EXPECT_TRUE(shard_owns(i, 0, 2)) << "only the torn store loses cells";
+    } else {
+      EXPECT_TRUE(same_result_bytes(merged[i], serial[i])) << i;
+    }
+  }
 }
 
 TEST(exp_cache, CacheDirVanishingMidRunDegradesToSimulation) {

@@ -1,8 +1,8 @@
 // The supervisor's on-disk surfaces: crash-directive parsing, grid
-// identity, the append-only run journal and the quarantine manifest —
-// exercised through the public API (run / read_journal_status) plus
-// direct byte-level corruption of the files, the way a torn disk or a
-// stray writer would produce them.
+// identity, the result store in its directory and the quarantine
+// manifest — exercised through the public API (run / read_sweep_status)
+// plus direct byte-level corruption of the files, the way a torn disk or
+// a stray writer would produce them.
 
 #include "exp/supervisor.hpp"
 
@@ -14,6 +14,7 @@
 #include <fstream>
 
 #include "exp/result_cache.hpp"
+#include "hal/fault_injection.hpp"
 #include "sim/machine_config.hpp"
 #include "workloads/suite.hpp"
 
@@ -32,8 +33,11 @@ class TempDir {
   }
   ~TempDir() { fs::remove_all(root_); }
   std::string path() const { return root_.string(); }
-  std::string journal() const {
-    return (root_ / kJournalFileName).string();
+  /// The supervisor's append log (a cache shard) for `grid`.
+  std::string log(const SweepGrid& grid) const {
+    return (root_ / ("shard-log-" + grid_digest(grid).hex().substr(0, 16) +
+                     ".bin"))
+        .string();
   }
   std::string manifest() const {
     return (root_ / kQuarantineFileName).string();
@@ -128,7 +132,7 @@ TEST(GridDigest, TracksEverySpecByte) {
   EXPECT_NE(grid_digest(a), grid_digest(make_grid(machine, 2, 901)));
 }
 
-TEST(Journal, StatusReflectsACompletedRun) {
+TEST(Store, StatusReflectsACompletedRun) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 2);
   TempDir dir("status");
@@ -137,18 +141,47 @@ TEST(Journal, StatusReflectsACompletedRun) {
   supervisor.run(&report);
   ASSERT_TRUE(report.completed);
 
-  const JournalStatus status = read_journal_status(dir.path());
-  EXPECT_TRUE(status.journal_present);
+  const SweepStatus status = read_sweep_status(dir.path());
+  EXPECT_TRUE(status.manifest_present);
   EXPECT_TRUE(status.valid);
-  EXPECT_EQ(status.grid, grid_digest(grid));
-  EXPECT_EQ(status.grid_size, grid.size());
-  EXPECT_EQ(status.done, grid.size());
-  EXPECT_EQ(status.retried, 0u);
-  EXPECT_EQ(status.dropped_bytes, 0u);
-  EXPECT_TRUE(status.quarantined.empty());
+  EXPECT_EQ(status.manifest.grid, grid_digest(grid));
+  EXPECT_EQ(status.manifest.grid_size, grid.size());
+  EXPECT_EQ(status.stored, grid.size());
+  EXPECT_EQ(status.skipped_records, 0u);
+  EXPECT_TRUE(status.manifest.quarantined.empty());
 }
 
-TEST(Journal, TornTailIsDroppedAndResumeRepairsIt) {
+// The supervised directory is an ordinary cache store: every entry carries
+// its canonical spec and re-simulates to the stored bytes (what
+// `cuttlefishctl cache verify` checks).
+TEST(Store, SupervisedDirIsAnOrdinaryCacheStore) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const SweepGrid grid = make_grid(machine, 2);
+  TempDir dir("asstore");
+  SupervisorReport report;
+  SweepSupervisor(grid, dir.path()).run(&report);
+  ASSERT_TRUE(report.completed);
+
+  ResultCache store(dir.path());
+  ASSERT_EQ(store.size(), grid.size());
+  for (size_t i = 0; i < store.size(); ++i) {
+    ResultCache::EntryView view;
+    ASSERT_TRUE(store.entry(i, &view));
+    const auto decoded =
+        decode_spec(view.spec_blob.data(), view.spec_blob.size());
+    ASSERT_NE(decoded, nullptr);
+    EXPECT_EQ(encode_result(run_spec(decoded->spec)),
+              encode_result(view.result))
+        << "entry " << i;
+  }
+  // ...and a cached sweep of the same grid is served from it entirely.
+  SweepRunStats stats;
+  const auto cached = run_sweep(grid, nullptr, &store, &stats);
+  EXPECT_EQ(stats.cache_hits, grid.size());
+  EXPECT_TRUE(tables_identical(cached, run_sweep(grid)));
+}
+
+TEST(Store, TornTailCostsNothingAndResumeServesEverything) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 2);
   const std::vector<RunResult> oracle = run_sweep(grid);
@@ -159,19 +192,18 @@ TEST(Journal, TornTailIsDroppedAndResumeRepairsIt) {
     ASSERT_TRUE(report.completed);
   }
 
-  // A torn append: the file gains garbage that never completed a record.
+  // A torn append: the log gains garbage that never completed a record.
   {
-    std::ofstream f(dir.journal(),
-                    std::ios::binary | std::ios::app);
+    std::ofstream f(dir.log(grid), std::ios::binary | std::ios::app);
     f.write("torn-partial-record", 19);
   }
-  JournalStatus status = read_journal_status(dir.path());
+  const SweepStatus status = read_sweep_status(dir.path());
   EXPECT_TRUE(status.valid);
-  EXPECT_EQ(status.done, grid.size());  // records before the tear survive
-  EXPECT_EQ(status.dropped_bytes, 19u);
+  EXPECT_EQ(status.stored, grid.size());  // records before the tear survive
+  EXPECT_EQ(status.skipped_records, 1u);
 
-  // Resume truncates the tear and serves everything from the journal —
-  // byte-identical to a serial run, nothing re-simulated.
+  // Resume serves everything from the store — byte-identical to a serial
+  // run, nothing re-simulated.
   SupervisorReport report;
   const std::vector<RunResult> resumed =
       SweepSupervisor(grid, dir.path()).run(&report);
@@ -179,10 +211,9 @@ TEST(Journal, TornTailIsDroppedAndResumeRepairsIt) {
   EXPECT_EQ(report.resumed, grid.size());
   EXPECT_EQ(report.executed, 0u);
   EXPECT_TRUE(tables_identical(resumed, oracle));
-  EXPECT_EQ(read_journal_status(dir.path()).dropped_bytes, 0u);
 }
 
-TEST(Journal, TruncatedRecordCostsOnlyItsSpec) {
+TEST(Store, TruncatedRecordCostsOnlyItsSpecAndTheAppendRepairsIt) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 2);
   const std::vector<RunResult> oracle = run_sweep(grid);
@@ -194,11 +225,11 @@ TEST(Journal, TruncatedRecordCostsOnlyItsSpec) {
   }
   // Cut into the last record's trailing checksum: that record must be
   // rejected, every earlier one kept.
-  fs::resize_file(dir.journal(), fs::file_size(dir.journal()) - 5);
-  const JournalStatus status = read_journal_status(dir.path());
+  fs::resize_file(dir.log(grid), fs::file_size(dir.log(grid)) - 5);
+  SweepStatus status = read_sweep_status(dir.path());
   EXPECT_TRUE(status.valid);
-  EXPECT_EQ(status.done, grid.size() - 1);
-  EXPECT_GT(status.dropped_bytes, 0u);
+  EXPECT_EQ(status.stored, grid.size() - 1);
+  EXPECT_EQ(status.skipped_records, 1u);
 
   SupervisorReport report;
   const std::vector<RunResult> resumed =
@@ -207,14 +238,19 @@ TEST(Journal, TruncatedRecordCostsOnlyItsSpec) {
   EXPECT_EQ(report.resumed, grid.size() - 1);
   EXPECT_EQ(report.executed, 1u);
   EXPECT_TRUE(tables_identical(resumed, oracle));
+  // The re-run spec's append first truncated the torn tail.
+  status = read_sweep_status(dir.path());
+  EXPECT_EQ(status.stored, grid.size());
+  EXPECT_EQ(status.skipped_records, 0u);
 }
 
-TEST(Journal, RefusesAJournalFromADifferentGrid) {
+TEST(Store, RefusesADifferentGrid) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   TempDir dir("wronggrid");
+  const SweepGrid first = make_grid(machine, 2);
   {
     SupervisorReport report;
-    SweepSupervisor(make_grid(machine, 2), dir.path()).run(&report);
+    SweepSupervisor(first, dir.path()).run(&report);
     ASSERT_TRUE(report.completed);
   }
   const SweepGrid other = make_grid(machine, 3);
@@ -226,27 +262,90 @@ TEST(Journal, RefusesAJournalFromADifferentGrid) {
       << report.error;
   // Both digests are named so the operator can tell which flag drifted.
   EXPECT_NE(report.error.find(grid_digest(other).hex()), std::string::npos);
+  EXPECT_NE(report.error.find(grid_digest(first).hex()), std::string::npos);
 }
 
-TEST(Journal, CorruptHeaderIsRefusedNotTrusted) {
+TEST(Store, CorruptLogHeaderCostsItsResultsNotCorrectness) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 1);
+  const std::vector<RunResult> oracle = run_sweep(grid);
   TempDir dir("hdr");
   {
     SupervisorReport report;
     SweepSupervisor(grid, dir.path()).run(&report);
     ASSERT_TRUE(report.completed);
   }
-  corrupt_byte(dir.journal(), 12);  // inside the grid-digest field
-  const JournalStatus status = read_journal_status(dir.path());
-  EXPECT_TRUE(status.journal_present);
-  EXPECT_FALSE(status.valid);
-  EXPECT_NE(status.error.find("checksum"), std::string::npos)
-      << status.error;
+  corrupt_byte(dir.log(grid), 5);  // inside the format-version field
+  SweepStatus status = read_sweep_status(dir.path());
+  EXPECT_TRUE(status.valid);
+  EXPECT_EQ(status.stored, 0u);
+  EXPECT_EQ(status.skipped_records, 1u);
 
+  // No record of a foreign-looking file is trusted: everything re-runs,
+  // and the log is re-created rather than appended behind a bad header.
   SupervisorReport report;
-  EXPECT_TRUE(SweepSupervisor(grid, dir.path()).run(&report).empty());
-  EXPECT_FALSE(report.error.empty());
+  const std::vector<RunResult> resumed =
+      SweepSupervisor(grid, dir.path()).run(&report);
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.resumed, 0u);
+  EXPECT_EQ(report.executed, grid.size());
+  EXPECT_TRUE(tables_identical(resumed, oracle));
+  status = read_sweep_status(dir.path());
+  EXPECT_EQ(status.stored, grid.size());
+  EXPECT_EQ(status.skipped_records, 0u);
+}
+
+TEST(Store, FaultInjectedSpecsAreNeverPersisted) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const hal::FaultSchedule schedule = hal::FaultSchedule::transient_only(11);
+  RunOptions faulted;
+  faulted.faults = &schedule;
+  SweepGrid grid(machine);
+  const auto& model = workloads::find_benchmark("SOR-irt");
+  grid.add_default("clean", model, RunOptions{}, 2, 900);
+  grid.add_default("faulted", model, faulted, 2, 900);
+  const std::vector<RunResult> oracle = run_sweep(grid);
+  TempDir dir("faulted");
+  {
+    SupervisorReport report;
+    SweepSupervisor(grid, dir.path()).run(&report);
+    ASSERT_TRUE(report.completed);
+  }
+  // The schedule is not part of the digest: storing a faulted result
+  // would serve it for the clean cell with the same key.
+  EXPECT_EQ(read_sweep_status(dir.path()).stored, 2u);
+  SupervisorReport report;
+  const std::vector<RunResult> resumed =
+      SweepSupervisor(grid, dir.path()).run(&report);
+  EXPECT_TRUE(report.completed);
+  EXPECT_EQ(report.resumed, 2u);
+  EXPECT_EQ(report.executed, 2u);
+  EXPECT_TRUE(tables_identical(resumed, oracle));
+}
+
+TEST(Store, ResumeRemovesScratchAKilledSupervisorLeft) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const SweepGrid grid = make_grid(machine, 1);
+  TempDir dir("scratch");
+  {
+    SupervisorReport report;
+    SweepSupervisor(grid, dir.path()).run(&report);
+    ASSERT_TRUE(report.completed);
+  }
+  // What a SIGKILL leaves: a worker's handoff file and the temp file of a
+  // write that never reached its rename.
+  for (const char* name : {"worker-1-0.res", "worker-0-2.res.tmp-99999",
+                           "quarantine.manifest.tmp-99998"}) {
+    std::ofstream(fs::path(dir.path()) / name) << "partial";
+  }
+  SupervisorReport report;
+  SweepSupervisor(grid, dir.path()).run(&report);
+  EXPECT_TRUE(report.completed);
+  for (const auto& e : fs::directory_iterator(dir.path())) {
+    const std::string name = e.path().filename().string();
+    EXPECT_TRUE(name == kQuarantineFileName || name.rfind("shard-", 0) == 0)
+        << "leftover " << name;
+  }
 }
 
 TEST(Manifest, RecordsPoisonAndSurvivesStatusReads) {
@@ -266,10 +365,11 @@ TEST(Manifest, RecordsPoisonAndSurvivesStatusReads) {
   EXPECT_EQ(report.quarantined[0].attempts, 2u);
   EXPECT_EQ(report.quarantined[0].term_signal, SIGABRT);
 
-  const JournalStatus status = read_journal_status(dir.path());
-  ASSERT_EQ(status.quarantined.size(), 1u);
-  EXPECT_EQ(status.quarantined[0].spec_index, 1u);
-  EXPECT_EQ(status.quarantined[0].term_signal, SIGABRT);
+  const SweepStatus status = read_sweep_status(dir.path());
+  ASSERT_EQ(status.manifest.quarantined.size(), 1u);
+  EXPECT_EQ(status.manifest.quarantined[0].spec_index, 1u);
+  EXPECT_EQ(status.manifest.quarantined[0].term_signal, SIGABRT);
+  EXPECT_EQ(status.stored, grid.size() - 1);
 }
 
 TEST(Manifest, CorruptManifestDegradesToReattempt) {
@@ -289,11 +389,13 @@ TEST(Manifest, CorruptManifestDegradesToReattempt) {
     ASSERT_EQ(report.quarantined.size(), 1u);
   }
   corrupt_byte(dir.manifest(), -3);
-  // A torn manifest is ignored (with a warning), not trusted: the status
-  // report shows no quarantine, and a resume — here with the crash hook
-  // off, the flake having "healed" — re-attempts the spec and completes
-  // the full table.
-  EXPECT_TRUE(read_journal_status(dir.path()).quarantined.empty());
+  // A torn manifest is reported, not trusted: a resume — here with the
+  // crash hook off, the flake having "healed" — re-pins the grid,
+  // re-attempts the spec and completes the full table. Re-pinning is safe
+  // because the store is content-addressed.
+  const SweepStatus status = read_sweep_status(dir.path());
+  EXPECT_TRUE(status.manifest_present);
+  EXPECT_FALSE(status.valid);
   SupervisorReport report;
   const std::vector<RunResult> resumed =
       SweepSupervisor(grid, dir.path()).run(&report);
@@ -301,6 +403,7 @@ TEST(Manifest, CorruptManifestDegradesToReattempt) {
   EXPECT_TRUE(report.quarantined.empty());
   EXPECT_EQ(report.executed, 1u);
   EXPECT_TRUE(tables_identical(resumed, oracle));
+  EXPECT_TRUE(read_sweep_status(dir.path()).valid);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // real forked workers: clean-run byte identity with run_sweep, every
 // deterministic crash mode (abort / kill / hang / exit), bounded-retry
 // recovery, whole-run budgets, and the acceptance-criterion resume — a
-// supervisor SIGKILLed mid-campaign whose successor reproduces the
-// uninterrupted table bit for bit.
+// supervisor SIGKILLed mid-campaign takes its workers with it, and its
+// successor reproduces the uninterrupted table bit for bit.
 
 #include "exp/supervisor.hpp"
 
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "exp/result_cache.hpp"
@@ -36,7 +37,6 @@ class TempDir {
   }
   ~TempDir() { fs::remove_all(root_); }
   std::string path() const { return root_.string(); }
-  fs::path journal() const { return root_ / kJournalFileName; }
 
  private:
   fs::path root_;
@@ -178,7 +178,7 @@ TEST(Supervisor, TransientCrashIsRetriedToFullIdentity) {
   EXPECT_TRUE(tables_identical(supervised, oracle));
 }
 
-TEST(Supervisor, WholeRunBudgetLeavesAResumableJournal) {
+TEST(Supervisor, WholeRunBudgetLeavesAResumableStore) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 2);
   const std::vector<RunResult> oracle = run_sweep(grid);
@@ -205,11 +205,48 @@ TEST(Supervisor, WholeRunBudgetLeavesAResumableJournal) {
   EXPECT_TRUE(tables_identical(resumed, oracle));
 }
 
+/// Child pids of `pid` (its main thread's children, which is where the
+/// supervisor forks its workers).
+std::vector<pid_t> children_of(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/task/" +
+                   std::to_string(pid) + "/children");
+  std::vector<pid_t> out;
+  for (pid_t child; in >> child;) out.push_back(child);
+  return out;
+}
+
+/// A process is gone once /proc no longer lists it or it is a zombie
+/// waiting for a reaper (init in a container may never reap it).
+bool process_gone(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  if (!in) return true;
+  std::string line;
+  std::getline(in, line);
+  const auto close = line.rfind(')');
+  return close != std::string::npos && close + 2 < line.size() &&
+         line[close + 2] == 'Z';
+}
+
+/// Results in the store of a supervisor working in `dir`.
+size_t stored_results(const std::string& dir) {
+  size_t stored = 0;
+  std::error_code ec;
+  for (const auto& e : fs::directory_iterator(dir, ec)) {
+    if (e.path().filename().string().rfind("shard-", 0) == 0) {
+      stored = ResultCache(dir).size();
+      break;
+    }
+  }
+  return stored;
+}
+
 // The acceptance criterion: SIGKILL the *supervisor itself* mid-run,
 // then resume in a fresh process and require the merged table to be
 // byte-identical to an uninterrupted run. The doomed supervisor runs in
-// a fork; the parent polls its journal until at least one record landed,
-// kills it, and resumes in-process.
+// a fork with one worker wedged on a hang and the other working through
+// the grid; the parent waits until results land in the store, kills the
+// supervisor, and requires its workers to die with it before resuming
+// in-process.
 TEST(Supervisor, ResumeAfterSupervisorSigkillIsByteIdentical) {
   const sim::MachineConfig machine = sim::haswell_2650v3();
   const SweepGrid grid = make_grid(machine, 3);
@@ -220,20 +257,22 @@ TEST(Supervisor, ResumeAfterSupervisorSigkillIsByteIdentical) {
   ASSERT_GE(child, 0);
   if (child == 0) {
     SupervisorOptions opt;
-    opt.max_workers = 1;  // serialize so the kill lands mid-campaign
+    opt.max_workers = 2;
+    opt.spec_timeout_s = 600.0;  // the hang outlives the test
+    opt.crash.spec_index = 0;
+    opt.crash.mode = CrashMode::kHang;
     SweepSupervisor(grid, dir.path(), opt).run(nullptr);
     ::_exit(0);
   }
 
-  // Wait for the journal to hold at least one full record beyond the
-  // 40-byte header, then SIGKILL the supervisor wherever it is.
+  // Wait for a stored result while the hanging worker is still alive.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(120);
   bool saw_progress = false;
+  std::vector<pid_t> workers;
   while (std::chrono::steady_clock::now() < deadline) {
-    std::error_code ec;
-    const auto size = fs::file_size(dir.journal(), ec);
-    if (!ec && size > 100) {
+    workers = children_of(child);
+    if (!workers.empty() && stored_results(dir.path()) >= 1) {
       saw_progress = true;
       break;
     }
@@ -242,12 +281,19 @@ TEST(Supervisor, ResumeAfterSupervisorSigkillIsByteIdentical) {
   ::kill(child, SIGKILL);
   int status = 0;
   ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(saw_progress) << "doomed supervisor never journaled a record";
-  // Let any orphaned worker of the killed supervisor drain: its result
-  // files are checksummed and per-attempt, so even a straggler writing
-  // concurrently cannot corrupt the resume, but quiescing keeps the
-  // executed/resumed accounting below exact.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(saw_progress) << "doomed supervisor never stored a result";
+
+  // Its workers, the hung one included, die with it.
+  const auto reap_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (const pid_t worker : workers) {
+    while (!process_gone(worker) &&
+           std::chrono::steady_clock::now() < reap_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_TRUE(process_gone(worker)) << "orphaned worker " << worker;
+    ::kill(worker, SIGKILL);  // a failed check must not leave it running
+  }
 
   SupervisorReport report;
   const std::vector<RunResult> resumed =
@@ -258,6 +304,12 @@ TEST(Supervisor, ResumeAfterSupervisorSigkillIsByteIdentical) {
   EXPECT_EQ(report.resumed + report.executed, grid.size());
   EXPECT_TRUE(report.quarantined.empty());
   EXPECT_TRUE(tables_identical(resumed, oracle));
+  // Nothing but the store and the manifest is left behind.
+  for (const auto& e : fs::directory_iterator(dir.path())) {
+    const std::string name = e.path().filename().string();
+    EXPECT_TRUE(name == kQuarantineFileName || name.rfind("shard-", 0) == 0)
+        << "leftover " << name;
+  }
 }
 
 }  // namespace
